@@ -58,7 +58,8 @@ inline double time_best(int reps, const std::function<void()>& fn) {
 /// make perf diffable across PRs. The weight fields are Table-I normalized
 /// kernel weights and are emitted only when set (weight_paper >= 0); the
 /// matrix extents are emitted only when set (m > 0) — kernel benches key
-/// on (nb, ib) alone, the end-to-end fig2 benches add the problem size.
+/// on (nb, ib) alone, the end-to-end fig2 benches add the problem size;
+/// the GE2VAL stage split is emitted only when set (ge2bnd_s >= 0).
 struct Record {
   std::string name;
   int nb = 0;
@@ -72,6 +73,9 @@ struct Record {
   int batch = 0;    ///< problems per batch (batched benches; 0 = n/a)
   int threads = 0;  ///< batch workers (emitted with batch)
   double problems_per_sec = 0.0;  ///< batched throughput (emitted with batch)
+  double ge2bnd_s = -1.0;  ///< GE2VAL stage seconds (GesvdTimings)
+  double bnd2bd_s = 0.0;   ///< emitted with ge2bnd_s
+  double bd2val_s = 0.0;   ///< emitted with ge2bnd_s
 };
 
 /// Write records as a JSON array, replacing `path`. Returns false (with a
@@ -102,6 +106,12 @@ inline bool write_json(const char* path, const std::vector<Record>& recs) {
                    "\"problems_per_sec\": %.1f",
                    r.batch, r.threads, r.problems_per_sec);
     }
+    if (r.ge2bnd_s >= 0.0) {
+      std::fprintf(f,
+                   ", \"ge2bnd_s\": %.6e, \"bnd2bd_s\": %.6e, "
+                   "\"bd2val_s\": %.6e",
+                   r.ge2bnd_s, r.bnd2bd_s, r.bd2val_s);
+    }
     std::fprintf(f, "}%s\n", i + 1 < recs.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
@@ -126,28 +136,25 @@ inline Record e2e_record(std::string name, int nb, int ib, int m, int n,
   return r;
 }
 
-/// Scalar type a bench series runs in. F64 is the historical default;
-/// Mixed is the float-reduction + double-eigensolve driver (only the
-/// end-to-end benches distinguish it from F32).
-enum class DType { F64, F32, Mixed };
+/// Scalar type a bench series runs in. F64 is the historical default.
+enum class DType { F64, F32 };
 
 inline const char* dtype_name(DType d) {
   switch (d) {
     case DType::F64: return "f64";
     case DType::F32: return "f32";
-    case DType::Mixed: return "mixed";
   }
   return "?";
 }
 
 /// Series-name suffix for a dtype: empty for f64 (keeps the historical
-/// series names diffable across PRs), "_f32" / "_mixed" otherwise.
+/// series names diffable across PRs), "_f32" otherwise.
 inline std::string dtype_suffix(DType d) {
   return d == DType::F64 ? "" : std::string("_") + dtype_name(d);
 }
 
 /// Shared argv handling for the benches:
-/// `[--smoke] [--out PATH] [--dtype f32|f64|mixed] [--nb N]
+/// `[--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
 ///  [--tune-file PATH]`.
 /// Returns false (after printing usage) on unknown arguments. `smoke`
 /// additionally picks up pre-set state (e.g. TBSVD_BENCH_FULL) untouched —
@@ -161,7 +168,7 @@ inline bool parse_bench_args(int argc, char** argv, bool& smoke,
                              const char** tune_file = nullptr) {
   auto usage = [&] {
     std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]%s%s%s\n", argv[0],
-                 dtype != nullptr ? " [--dtype f32|f64|mixed]" : "",
+                 dtype != nullptr ? " [--dtype f32|f64]" : "",
                  nb != nullptr ? " [--nb N]" : "",
                  tune_file != nullptr ? " [--tune-file PATH]" : "");
     return false;
@@ -178,8 +185,6 @@ inline bool parse_bench_args(int argc, char** argv, bool& smoke,
         *dtype = DType::F64;
       } else if (std::strcmp(v, "f32") == 0) {
         *dtype = DType::F32;
-      } else if (std::strcmp(v, "mixed") == 0) {
-        *dtype = DType::Mixed;
       } else {
         return usage();
       }
@@ -200,8 +205,7 @@ inline bool parse_bench_args(int argc, char** argv, bool& smoke,
 /// Load a persisted calibration for a bench run (--tune-file): exits with
 /// a message on a corrupt/stale file rather than silently re-calibrating,
 /// and prints the host-mismatch flag when the file came from another
-/// machine. Returns the per-dtype table (Mixed maps to "f32" — its
-/// GE2BND-stage cost is the float reduction's).
+/// machine. Returns the per-dtype table.
 inline const tune::PrecisionCalib& load_tune_table(const char* path,
                                                    tune::Calibration& cal,
                                                    DType dtype) {

@@ -13,11 +13,10 @@
 // quickly on tall-and-skinny matrices (up to ~1.8x).
 //
 // --dtype selects the scalar the reduction runs in: f64 (default, the
-// historical series), f32 (16-lane zmm micro-kernel), or mixed — which at
-// the GE2BND level is the float reduction (the mixed driver's O(mn^2)
-// stage), recorded under its own series suffix so the history tier can
-// track the float-vs-double throughput ratio. --nb overrides the tile
-// size (default 64; the precision comparison in docs/PERF.md uses 160).
+// historical series) or f32 (16-lane zmm micro-kernel), recorded under its
+// own series suffix so the history tier can track the float-vs-double
+// throughput ratio. --nb overrides the tile size (default 64; the
+// precision comparison in docs/PERF.md uses 160).
 // --tune-file takes (nb, ib) and the simulator's kernel table from a
 // persisted tbsvd_tune calibration instead of re-calibrating in process
 // (an explicit --nb still wins on the tile size).
@@ -27,7 +26,7 @@
 // benches plus the problem extents), so the end-to-end curves are
 // diffable across PRs via bench/history/.
 //
-// Usage: fig2_ge2bnd [--smoke] [--out PATH] [--dtype f32|f64|mixed] [--nb N]
+// Usage: fig2_ge2bnd [--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
 //                    [--tune-file PATH]
 #include <algorithm>
 #include <thread>
@@ -73,8 +72,6 @@ double measured_gflops_t(int m, int n, TreeKind tree, BidiagAlg alg,
 
 double measured_gflops(int m, int n, TreeKind tree, BidiagAlg alg,
                        int nthreads, const std::string& series) {
-  // At this stage mixed == float: the mixed driver's reduction runs
-  // entirely in f32 (the double part is the band eigensolve, not GE2BND).
   if (g_dtype == DType::F64) {
     return measured_gflops_t<double>(m, n, tree, alg, nthreads, series);
   }

@@ -3,9 +3,10 @@
 # Run from anywhere inside the repo after producing the BENCH_*.json files
 # (all globbed from the current directory): BENCH_gemm.json and
 # BENCH_kernels.json are the kernel tier, BENCH_fig2_*.json the end-to-end
-# shared-memory curves (per-dtype variants carry _f32/_mixed series names
-# inside; record them under distinct --out paths, e.g.
-# BENCH_fig2_ge2bnd_f32.json), BENCH_fig3_*/BENCH_fig4_*.json the
+# shared-memory curves (f32 variants carry _f32 series names inside;
+# record them under distinct --out paths, e.g.
+# BENCH_fig2_ge2bnd_f32.json), BENCH_ablation_tile_size.json the GE2VAL
+# stage split per (nb, ib), BENCH_fig3_*/BENCH_fig4_*.json the
 # distributed-simulation scaling curves, and BENCH_batched.json the
 # batched small-problem serving throughput (problems/sec across
 # batch x threads x dtype, bench_batched).

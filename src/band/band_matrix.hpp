@@ -39,8 +39,16 @@ class BandMatrixT {
     if (i < 0 || j < 0 || i >= n_ || j >= n_ || !in_band(i, j)) return T(0);
     return ab_[static_cast<std::size_t>(j) * ldab_ + (ku_ + i - j)];
   }
-  void set(int i, int j, T v) noexcept {
-    if (in_band(i, j)) at(i, j) = v;
+
+  /// Dense column-major view of the m x n rectangle rooted at (i0, j0).
+  /// Stepping one column right and one row down is one band column, so
+  /// (i, j) sits at (i - j) + j * ldab and the rectangle has ld = ldab - 1.
+  /// Every entry of the rectangle must lie in the stored band.
+  [[nodiscard]] MatrixViewT<T> view(int i0, int j0, int m, int n) {
+    TBSVD_ASSERT(i0 >= 0 && j0 >= 0 && i0 + m <= n_ && j0 + n <= n_);
+    TBSVD_ASSERT(m == 0 || n == 0 ||
+                 (in_band(i0 + m - 1, j0) && in_band(i0, j0 + n - 1)));
+    return {&at(i0, j0), m, n, ldab_ - 1};
   }
 
   [[nodiscard]] MatrixT<T> to_dense() const;

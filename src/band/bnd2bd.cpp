@@ -5,157 +5,75 @@
 
 #include "common/check.hpp"
 #include "common/fault.hpp"
-#include "lac/givens.hpp"
+#include "lac/householder.hpp"
 
 namespace tbsvd {
 
 namespace {
 
-// Working band with one subdiagonal slot (column-rotation bulge) and one
-// extra superdiagonal slot (row-rotation bulge).
-template <class T>
-class ChaseBand {
- public:
-  ChaseBand(const BandMatrixT<T>& B, std::vector<ChaseRot>* log)
-      : n_(B.n()), ku_(B.ku()), W_(B.n(), 1, B.ku() + 1), log_(log) {
-    for (int j = 0; j < n_; ++j) {
-      for (int i = std::max(0, j - ku_); i <= j; ++i) {
-        W_.at(i, j) = B.get(i, j);
-      }
-    }
-  }
-
-  // Rotate columns (j-1, j) so that entry (i, j) becomes zero.
-  // Returns true if a subdiagonal bulge appeared at (j, j-1).
-  bool kill_with_col_rotation(int i, int j) {
-    const T f = W_.get(i, j - 1);
-    const T g = W_.get(i, j);
-    if (g == T(0)) return false;
-    const GivensRotationT<T> rot = lartg<T>(f, g);
-    if (log_ != nullptr) {
-      log_->push_back(ChaseRot{false, j, static_cast<double>(rot.c),
-                               static_cast<double>(rot.s)});
-    }
-    const int rlo = std::max(0, j - 1 - W_.ku());
-    const int rhi = std::min(n_ - 1, j);  // deepest nonzero row is diag of j
-    for (int r = rlo; r <= rhi; ++r) {
-      const T x = W_.get(r, j - 1);
-      const T y = W_.get(r, j);
-      if (x == T(0) && y == T(0)) continue;
-      W_.set(r, j - 1, rot.c * x + rot.s * y);
-      W_.set(r, j, -rot.s * x + rot.c * y);
-    }
-    W_.at(i, j) = T(0);
-    return j < n_ && W_.get(j, j - 1) != T(0);
-  }
-
-  // Rotate rows (i-1, i) so that entry (i, i-1) (the subdiagonal bulge)
-  // becomes zero. Returns the column of the new superdiagonal bulge at
-  // row i-1, or -1 if none was created.
-  int kill_with_row_rotation(int i) {
-    const T f = W_.get(i - 1, i - 1);
-    const T g = W_.get(i, i - 1);
-    if (g == T(0)) return -1;
-    const GivensRotationT<T> rot = lartg<T>(f, g);
-    if (log_ != nullptr) {
-      log_->push_back(ChaseRot{true, i, static_cast<double>(rot.c),
-                               static_cast<double>(rot.s)});
-    }
-    const int clo = i - 1;
-    const int chi = std::min(n_ - 1, i + W_.ku() - 1);  // row i extends here
-    for (int c = clo; c <= chi; ++c) {
-      const T x = W_.get(i - 1, c);
-      const T y = W_.get(i, c);
-      if (x == T(0) && y == T(0)) continue;
-      W_.set(i - 1, c, rot.c * x + rot.s * y);
-      W_.set(i, c, -rot.s * x + rot.c * y);
-    }
-    W_.at(i, i - 1) = T(0);
-    // A genuine bulge sits exactly at (i-1, i-1 + b + 1) = (i-1, i + b),
-    // one column past the logical band of width b = ku_. If that column
-    // falls off the matrix, the chase ends here.
-    const int bulge_col = i + ku_;
-    return (bulge_col <= n_ - 1 && W_.get(i - 1, bulge_col) != T(0))
-               ? bulge_col
-               : -1;
-  }
-
-  [[nodiscard]] T entry(int i, int j) const { return W_.get(i, j); }
-  [[nodiscard]] int n() const noexcept { return n_; }
-
- private:
-  int n_;
-  int ku_;
-  BandMatrixT<T> W_;
-  std::vector<ChaseRot>* log_;
-};
+// Generate the reflector annihilating x[1..len) against x[0] (stride inc),
+// apply it through `apply` with x[0] temporarily set to 1 (the v(0) == 1
+// convention of larf_*), then leave beta in x[0] and zeros in the tail.
+template <class T, class Apply>
+void reflect(int len, T* x, int inc, Apply apply) {
+  const T tau = larfg<T>(len, x[0], x + inc, inc);
+  if (tau == T(0)) return;
+  const T beta = x[0];
+  x[0] = T(1);
+  apply(tau, x);
+  x[0] = beta;
+  for (int k = 1; k < len; ++k) x[k * inc] = T(0);
+}
 
 }  // namespace
 
 template <class T>
-BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B, std::vector<ChaseRot>* log) {
+BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B) {
   TBSVD_CHECK(B.kl() == 0, "bnd2bd expects an upper-band matrix (kl = 0)");
-  if (log != nullptr) log->clear();
   const int n = B.n();
+  const int b = B.ku();
   BidiagonalT<T> out;
   out.d.resize(n, T(0));
   out.e.resize(std::max(0, n - 1), T(0));
-  if (n == 0) return out;
 
-  ChaseBand<T> W(B, log);
-  const int b = B.ku();
-  if (b >= 2) {
-    for (int i = 0; i < n - 1; ++i) {
-      // Clean row i right-to-left: entries (i, i+2 .. i+b).
-      for (int l = std::min(b, n - 1 - i); l >= 2; --l) {
-        // Chase the elimination of (i, i+l) down the band.
-        int ci = i, cj = i + l;
-        while (true) {
-          const bool sub_bulge = W.kill_with_col_rotation(ci, cj);
-          if (!sub_bulge) break;
-          const int bulge_col = W.kill_with_row_rotation(cj);
-          if (bulge_col < 0) break;
-          ci = cj - 1;
-          cj = bulge_col;
-          if (cj - ci < 2) break;  // bulge landed inside the bidiagonal band
-        }
-      }
+  // Working band: b subdiagonals for the lower fill of a right reflector,
+  // 2b superdiagonals for the upper bulge of a left reflector.
+  BandMatrixT<T> W(n, b, 2 * b);
+  for (int j = 0; j < n; ++j) {
+    for (int i = std::max(0, j - b); i <= j; ++i) W.at(i, j) = B.get(i, j);
+  }
+  std::vector<T> work(static_cast<std::size_t>(2 * b));
+  for (int s = 0; b >= 2 && s + 1 < n; ++s) {
+    for (int r = s, c = s + 1; c < n; r = c, c += b) {
+      const int L = std::min(b, n - c);
+      if (L < 2) break;
+      // Right reflector: row r keeps only column c of [c, c + L). Its
+      // columns reach rows r+1 .. c+L-1 and leave lower fill below (c, c).
+      const int rlast = std::min(n - 1, c + L - 1);
+      MatrixViewT<T> row = W.view(r, c, 1, L);
+      reflect<T>(L, row.a, row.ld, [&](T tau, const T* v) {
+        larf_right<T>(tau, v, row.ld, W.view(r + 1, c, rlast - r, L),
+                      work.data());
+      });
+      // Left reflector: column c keeps only row c of [c, c + L). Its rows
+      // reach columns c+1 .. c+L-1+b; row c's part past c+b is the bulge
+      // the next step's right reflector removes.
+      const int clast = std::min(n - 1, c + L - 1 + b);
+      MatrixViewT<T> col = W.view(c, c, L, 1);
+      reflect<T>(L, col.a, 1, [&](T tau, const T* v) {
+        larf_left<T>(tau, v, 1, W.view(c, c + 1, L, clast - c), work.data());
+      });
     }
   }
-  for (int i = 0; i < n; ++i) out.d[i] = W.entry(i, i);
-  for (int i = 0; i + 1 < n; ++i) out.e[i] = W.entry(i, i + 1);
-  if (TBSVD_FAULT_FIRE("band.bnd2bd.poison_nan")) {
+  for (int i = 0; i < n; ++i) out.d[i] = W.get(i, i);
+  for (int i = 0; i + 1 < n; ++i) out.e[i] = W.get(i, i + 1);
+  if (n > 0 && TBSVD_FAULT_FIRE("band.bnd2bd.poison_nan")) {
     out.d[0] = std::numeric_limits<T>::quiet_NaN();
   }
   return out;
 }
 
-void chase_map_to_band(const std::vector<ChaseRot>& log,
-                       std::vector<double>& u, std::vector<double>& v) {
-  // The chase produced bidiag = L W R (rotations in application order), so
-  // band-space vectors are u_band = L^T u_bd and v_band = R v_bd. Both
-  // expand into the same reversed-order two-element update
-  //   (a, b) <- (c a - s b, s a + c b)
-  // on (idx-1, idx): L^T applies the transposed left rotations newest
-  // first, and R = R_1 R_2 ... applied to a vector also unwinds newest
-  // first.
-  for (auto it = log.rbegin(); it != log.rend(); ++it) {
-    std::vector<double>& x = it->left ? u : v;
-    if (x.empty()) continue;
-    const double a = x[it->idx - 1];
-    const double b = x[it->idx];
-    x[it->idx - 1] = it->c * a - it->s * b;
-    x[it->idx] = it->s * a + it->c * b;
-  }
-}
-
-#define TBSVD_INSTANTIATE_BND2BD(T) \
-  template BidiagonalT<T> bnd2bd<T>(const BandMatrixT<T>&, \
-                                    std::vector<ChaseRot>*);
-
-TBSVD_INSTANTIATE_BND2BD(float)
-TBSVD_INSTANTIATE_BND2BD(double)
-
-#undef TBSVD_INSTANTIATE_BND2BD
+template BidiagonalT<float> bnd2bd<float>(const BandMatrixT<float>&);
+template BidiagonalT<double> bnd2bd<double>(const BandMatrixT<double>&);
 
 }  // namespace tbsvd

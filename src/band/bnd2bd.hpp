@@ -1,8 +1,37 @@
-// BND2BD: reduce an upper-band matrix (bandwidth ku = nb) to upper
-// bidiagonal form with Givens-rotation bulge chasing (the role PLASMA's
-// multithreaded BND2BD plays in the paper; this stage is memory-bound and
-// was executed on a single node even in the paper's distributed runs).
-// Templated over the scalar type T in {float, double}.
+// BND2BD: reduce an upper-band matrix (bandwidth ku = b) to upper
+// bidiagonal form by a Householder bulge chase (Haidar–Ltaief–Dongarra,
+// the algorithm PLASMA runs for this stage in the paper; it is
+// memory-bound and ran on a single node even in the paper's distributed
+// runs). Templated over the scalar type T in {float, double}.
+//
+// Algorithm. Sweep s = 0 .. n-2 cleans row s. It starts at (r, c) =
+// (s, s+1) and steps (r, c) <- (c, c+b) while c < n; step k of the sweep
+// sets L = min(b, n-c) and, when L >= 2,
+//   1. generates a right reflector from row r over columns [c, c+L) and
+//      applies it to rows r+1 .. min(n-1, c+L-1) — this leaves a lower
+//      bulge in columns [c, c+L);
+//   2. generates a left reflector from column c over rows [c, c+L) and
+//      applies it to columns c+1 .. min(n-1, c+L-1+b) — this leaves an
+//      upper bulge in rows [c, c+L) past the band.
+// Only the first row and column of each bulge are annihilated; the next
+// step removes row c's part, and later sweeps remove the rest. A step
+// applies two reflectors of length <= b to (2b-1) x b blocks, ≈ 16 b^2
+// flops, over ≈ n^2 / (2b) steps (common/flops.hpp: flops_bnd2bd).
+//
+// Storage. The chase works on a copy of the input held as a
+// BandMatrixT(n, kl = b, ku = 2b): b subdiagonals hold the lower bulge,
+// the extra b superdiagonals the upper one. Each reflector and the block
+// it updates is a dense rectangle inside that band, reached through
+// BandMatrixT::view (ld = ldab - 1), so the lac larfg / larf_left /
+// larf_right routines run on it unchanged.
+//
+// Dependencies. With c the column of step (s, k), the step's blocks span
+// rows c-b+1 .. c+b-1 and columns c .. c+2b-1. They overlap the blocks of
+// step (s-1, k+1) and share entry (c+b-1, c+2b-1) with the right
+// reflector of step (s-1, k+2); nothing later in sweep s-1 is touched. So
+// (s, k) must follow (s-1, k+2): sweeps could pipeline three steps apart,
+// which caps the concurrency near n / (3b) (about 4 at n = 768, b = 64).
+// This implementation runs the sweeps serially.
 #pragma once
 
 #include <vector>
@@ -20,33 +49,11 @@ struct BidiagonalT {
 
 using Bidiagonal = BidiagonalT<double>;
 
-/// One Givens rotation applied during the bulge chase, in application
-/// order. left == true: rows (idx-1, idx) were combined as
-/// [r_{idx-1}; r_idx] <- [[c, s], [-s, c]] [r_{idx-1}; r_idx]; otherwise
-/// columns (idx-1, idx) as [c_{idx-1}, c_idx] <- [c_{idx-1}, c_idx]
-/// [[c, -s], [s, c]]. c and s are stored in double so a float chase can be
-/// replayed exactly in higher precision (float embeds exactly).
-struct ChaseRot {
-  bool left = true;
-  int idx = 0;
-  double c = 1.0;
-  double s = 0.0;
-};
-
-/// Reduce B (kl = 0, any ku >= 0) to upper bidiagonal form. The input is
-/// consumed by value into working storage with bulge slots. O(n^2 ku)
-/// flops. When log != nullptr every applied rotation is appended to *log
-/// (cleared first), so that with L = product of left rotations and R =
-/// product of right rotations in application order, B = L^T * bidiag * R^T
-/// — enough to map singular vectors of the bidiagonal back to the band.
+/// Reduce B (kl = 0, any ku >= 0) to upper bidiagonal form by orthogonal
+/// two-sided transformations, so the singular values are preserved. B is
+/// copied into working storage with bulge slots and left unchanged.
+/// O(n^2 ku) flops.
 template <class T>
-BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B,
-                      std::vector<ChaseRot>* log = nullptr);
-
-/// Map singular vectors of the bidiagonal back to band space through a
-/// recorded chase: u := L^T u and v := R v, applied by replaying the log in
-/// reverse. u and v have length n; either may be empty to skip that side.
-void chase_map_to_band(const std::vector<ChaseRot>& log,
-                       std::vector<double>& u, std::vector<double>& v);
+BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B);
 
 }  // namespace tbsvd

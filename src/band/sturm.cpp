@@ -82,91 +82,6 @@ std::vector<T> sturm_singular_values(const std::vector<T>& d,
   return sv;
 }
 
-std::vector<double> tgk_inverse_iteration(const std::vector<double>& d,
-                                          const std::vector<double>& e,
-                                          double sigma, int iters) {
-  const int n = static_cast<int>(d.size());
-  TBSVD_CHECK(static_cast<int>(e.size()) >= std::max(0, n - 1),
-              "tgk_inverse_iteration: e must have n-1 entries");
-  const int N = 2 * n;
-  std::vector<double> z(N, 0.0);
-  if (n == 0) return z;
-
-  // Off-diagonal sequence of TGK: b[k] couples rows k and k+1.
-  std::vector<double> off(std::max(0, N - 1), 0.0);
-  for (int k = 0; k + 1 < N; ++k) {
-    off[k] = (k % 2 == 0) ? d[k / 2] : e[(k - 1) / 2];
-  }
-
-  // Start from a deterministic quasi-random unit vector (a fixed LCG keeps
-  // the driver reproducible; any vector with a component along the target
-  // eigenvector works).
-  unsigned long long state = 0x9e3779b97f4a7c15ull;
-  for (int k = 0; k < N; ++k) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    z[k] = static_cast<double>(static_cast<long long>(state >> 11)) /
-               static_cast<double>(1ll << 52) -
-           1.0;
-  }
-
-  // LU with partial pivoting of (TGK - sigma I): tridiagonal plus one
-  // fill-in superdiagonal. Factor once, reuse across iterations.
-  std::vector<double> dl(N, 0.0), dm(N, 0.0), du(N, 0.0), du2(N, 0.0);
-  std::vector<int> piv(N, 0);
-  for (int k = 0; k < N; ++k) dm[k] = -sigma;
-  for (int k = 0; k + 1 < N; ++k) {
-    dl[k] = off[k];  // subdiagonal entering row k+1
-    du[k] = off[k];
-  }
-  const double safmin = std::numeric_limits<double>::min();
-  for (int k = 0; k + 1 < N; ++k) {
-    if (std::fabs(dm[k]) >= std::fabs(dl[k])) {
-      piv[k] = 0;
-      if (std::fabs(dm[k]) < safmin) dm[k] = std::copysign(safmin, dm[k]);
-      const double l = dl[k] / dm[k];
-      dl[k] = l;
-      dm[k + 1] -= l * du[k];
-      du2[k] = 0.0;
-    } else {
-      piv[k] = 1;  // swap rows k and k+1
-      const double l = dm[k] / dl[k];
-      dm[k] = dl[k];
-      dl[k] = l;
-      const double tmp = du[k];
-      du[k] = dm[k + 1];
-      du2[k] = (k + 2 < N) ? du[k + 1] : 0.0;
-      dm[k + 1] = tmp - l * du[k];
-      if (k + 2 < N) du[k + 1] = -l * du2[k];
-    }
-  }
-  if (std::fabs(dm[N - 1]) < safmin) {
-    dm[N - 1] = std::copysign(safmin, dm[N - 1] == 0.0 ? 1.0 : dm[N - 1]);
-  }
-
-  std::vector<double> y(N);
-  for (int pass = 0; pass < std::max(1, iters); ++pass) {
-    y = z;
-    // Forward substitution with the recorded row swaps.
-    for (int k = 0; k + 1 < N; ++k) {
-      if (piv[k] == 1) std::swap(y[k], y[k + 1]);
-      y[k + 1] -= dl[k] * y[k];
-    }
-    // Back substitution against U (dm, du, du2).
-    for (int k = N - 1; k >= 0; --k) {
-      double s = y[k];
-      if (k + 1 < N) s -= du[k] * y[k + 1];
-      if (k + 2 < N) s -= du2[k] * y[k + 2];
-      y[k] = s / dm[k];
-    }
-    double nrm = 0.0;
-    for (double v : y) nrm += v * v;
-    nrm = std::sqrt(nrm);
-    if (!(nrm > 0.0) || !std::isfinite(nrm)) break;
-    for (int k = 0; k < N; ++k) z[k] = y[k] / nrm;
-  }
-  return z;
-}
-
 #define TBSVD_INSTANTIATE_STURM(T)                                       \
   template int tgk_sturm_count<T>(const std::vector<T>&,                 \
                                   const std::vector<T>&, T) noexcept;    \

@@ -25,13 +25,4 @@ template <class T>
 std::vector<T> sturm_singular_values(const std::vector<T>& d,
                                      const std::vector<T>& e);
 
-/// Eigenvector of TGK(d, e) for the eigenvalue nearest sigma, by inverse
-/// iteration in double with a partially pivoted tridiagonal solve (the
-/// mixed-precision driver's refinement backend). The returned z (length
-/// 2n, unit norm) interleaves the bidiagonal's singular vectors as
-/// z = (v1, u1, v2, u2, ..., vn, un) / sqrt(2) in exact arithmetic.
-std::vector<double> tgk_inverse_iteration(const std::vector<double>& d,
-                                          const std::vector<double>& e,
-                                          double sigma, int iters = 3);
-
 }  // namespace tbsvd

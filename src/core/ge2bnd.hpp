@@ -27,7 +27,7 @@ struct ExecResult {
 };
 
 /// T-factor storage of one factorization (TS/TT x QR/LQ grids). Keep it
-/// alive to form explicit Q / P factors afterwards (core/qform.hpp).
+/// alive to replay the transforms afterwards (rsvd/tsqr.hpp does).
 template <class T>
 struct TFactorsT {
   TGridT<T> tqts, tqtt, tlts, tltt;

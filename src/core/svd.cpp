@@ -1,18 +1,14 @@
 #include "core/svd.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "band/band_matrix.hpp"
 #include "band/bnd2bd.hpp"
-#include "band/sturm.hpp"
 #include "common/check.hpp"
 #include "common/fault.hpp"
 #include "common/hazard.hpp"
 #include "common/timer.hpp"
-#include "core/qform.hpp"
-#include "lac/blas.hpp"
 #include "tune/tune.hpp"
 
 namespace tbsvd {
@@ -134,151 +130,6 @@ std::vector<double> gesvd_values(ConstMatrixViewT<T> A,
   // Padding contributed exactly (padded_n - n) zero singular values at the
   // tail of the sorted spectrum; keep the leading n.
   sv.resize(A.n);
-  return sv;
-}
-
-std::vector<double> gesvd_values_mixed(ConstMatrixView A,
-                                       const GesvdOptions& opts,
-                                       GesvdTimings* timings, SvdInfo* info) {
-  TBSVD_CHECK(A.m >= A.n, "gesvd_values_mixed requires m >= n");
-  TBSVD_CHECK(A.n == 0 || A.a != nullptr, "gesvd_values_mixed: null input");
-  TBSVD_CHECK(opts.nb >= 0, "gesvd_values_mixed: tile size nb must be >= 0");
-  SvdInfo local_info;
-  SvdInfo& si = (info != nullptr) ? *info : local_info;
-  si = SvdInfo{};
-  si.mixed = true;
-  si.reduce_precision = Precision::F32;
-  si.values_precision = Precision::F64;
-  if (A.n == 0) return {};
-
-  const ExtremeScan scan = scan_extremes<double>(A);
-  if (!scan.finite) {
-    throw numerical_hazard_error(
-        "gesvd_values_mixed: non-finite entry in input");
-  }
-
-  // Padded double working copy. The reduction runs in float, so the norm
-  // must be brought into the *float* safe range; the refinement then sees
-  // the same scaled data, and the spectrum is unscaled at the very end.
-  const int nb = resolve_dense_nb<float>(opts.nb, A.n);
-  const int mp = pad_to_tiles(A.m, nb);
-  const int np = pad_to_tiles(A.n, nb);
-  Matrix Ad(mp, np);
-  copy<double>(A, Ad.view().block(0, 0, A.m, A.n));
-  const double target = svd_safe_target<float>(scan.amax);
-  if (target != scan.amax) {
-    scale_stepwise<double>(Ad.view(), scan.amax, target);
-    si.scaled = true;
-    si.scale_from = scan.amax;
-    si.scale_to = target;
-  }
-
-  // Demote to float and tile. The factored (BIDIAG) path keeps the
-  // Householder data and T triangles alive for the vector lift below.
-  TileMatrixT<float> tiled(mp, np, nb);
-  {
-    MatrixT<float> Af(mp, np);
-    convert_matrix<float, double>(Ad.cview(), Af.view());
-    tiled.from_dense(Af.cview());
-  }
-  if (TBSVD_FAULT_FIRE("core.svd.poison_tile")) {
-    tiled.tile(0, 0)(0, 0) = std::numeric_limits<float>::quiet_NaN();
-  }
-
-  WallTimer timer;
-  Ge2bndOptions go = opts.ge2bnd;
-  go.alg = BidiagAlg::Bidiag;
-  Ge2bndFactorsT<float> f = bidiag_factored<float>(std::move(tiled), go);
-  const double t1 = timer.seconds();
-
-  BandMatrixT<float> band = band_from_tiles<float>(f.A);
-  std::vector<ChaseRot> chase_log;
-  BidiagonalT<float> bdf = bnd2bd<float>(band, &chase_log);
-  const double t2 = timer.seconds();
-
-  // Promote the bidiagonal (exact) and finish in double.
-  std::vector<double> d(bdf.d.begin(), bdf.d.end());
-  std::vector<double> e(bdf.e.begin(), bdf.e.end());
-  Bd2valInfo bi;
-  std::vector<double> sv = bd2val<double>(d, e, opts.bd2val, &bi);
-
-  // Rayleigh-quotient refinement against the double data: for each value,
-  // recover the bidiagonal's singular vectors by TGK inverse iteration,
-  // map them back through the recorded bulge chase, lift them through the
-  // float factorization's Q and P, and evaluate sigma = u^T A v /
-  // (||u|| ||v||) in double. The lifted vectors carry O(eps_f) errors,
-  // which enter the quotient only quadratically — O(eps_f^2) ~ 1e-14.
-  const double sigma_max = sv.empty() ? 0.0 : sv.front();
-  if (sigma_max > 0.0) {
-    Matrix Q(mp, mp), Pt(np, np);
-    {
-      MatrixT<float> Qf = form_q<float>(f);
-      MatrixT<float> Ptf = form_pt<float>(f);
-      convert_matrix<double, float>(Qf.cview(), Q.view());
-      convert_matrix<double, float>(Ptf.cview(), Pt.view());
-    }
-    const double eps_f =
-        static_cast<double>(std::numeric_limits<float>::epsilon());
-    std::vector<double> u_bd(np), v_bd(np), u_a(mp), v_a(np), w(mp);
-    for (int k = 0; k < A.n && k < static_cast<int>(sv.size()); ++k) {
-      const double sk = sv[k];
-      // Values at or below the float noise floor carry no usable vector
-      // information; leave them at their double-eigensolve estimate.
-      if (!(sk > 4.0 * eps_f * sigma_max)) continue;
-      const std::vector<double> z = tgk_inverse_iteration(d, e, sk);
-      double un = 0.0, vn = 0.0;
-      for (int i = 0; i < np; ++i) {
-        v_bd[i] = z[2 * i];
-        u_bd[i] = z[2 * i + 1];
-        vn += v_bd[i] * v_bd[i];
-        un += u_bd[i] * u_bd[i];
-      }
-      un = std::sqrt(un);
-      vn = std::sqrt(vn);
-      if (!(un > 0.0) || !(vn > 0.0)) continue;
-      for (int i = 0; i < np; ++i) {
-        u_bd[i] /= un;
-        v_bd[i] /= vn;
-      }
-      chase_map_to_band(chase_log, u_bd, v_bd);
-      // u_A = Q(:, 0:np) u_band ; v_A = Pt^T v_band ; w = Ad v_A.
-      gemv<double>(Trans::No, 1.0, Q.cview().block(0, 0, mp, np),
-                   u_bd.data(), 1, 0.0, u_a.data(), 1);
-      gemv<double>(Trans::Yes, 1.0, Pt.cview(), v_bd.data(), 1, 0.0,
-                   v_a.data(), 1);
-      gemv<double>(Trans::No, 1.0, Ad.cview(), v_a.data(), 1, 0.0, w.data(),
-                   1);
-      const double num = dot<double>(mp, u_a.data(), 1, w.data(), 1);
-      const double den = static_cast<double>(nrm2<double>(mp, u_a.data(), 1)) *
-                         static_cast<double>(nrm2<double>(np, v_a.data(), 1));
-      if (!(den > 0.0)) continue;
-      const double refined = std::fabs(num) / den;
-      // Sanity guard: the float pipeline is backward stable, so the true
-      // value lies within O(eps_f)*sigma_max of the estimate; a correction
-      // far beyond that means the inverse iteration latched onto the wrong
-      // vector (e.g. inside a tight cluster) — keep the unrefined value.
-      if (std::fabs(refined - sk) <= 64.0 * eps_f * sigma_max) {
-        sv[k] = refined;
-        ++si.refined_values;
-      }
-    }
-    // Refinement can reorder near-equal neighbours.
-    std::sort(sv.begin(), sv.end(), std::greater<>());
-  }
-  const double t3 = timer.seconds();
-
-  si.qr_iterations = bi.qr_iterations;
-  si.bisection_fallback = bi.bisection_fallback;
-  si.status = bi.status;
-  if (si.scaled) scale_stepwise<double>(sv, si.scale_to, si.scale_from);
-  sv.resize(A.n);
-
-  if (timings != nullptr) {
-    timings->ge2bnd_seconds = t1;
-    timings->bnd2bd_seconds = t2 - t1;
-    timings->bd2val_seconds = t3 - t2;
-    timings->ge2bnd_tasks = 0;
-  }
   return sv;
 }
 

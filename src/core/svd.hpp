@@ -11,14 +11,6 @@
 // the singular values are unscaled on exit, flagged in SvdInfo. A
 // QR-iteration stall in BD2VAL degrades to Sturm bisection
 // (Status::Degraded) instead of failing.
-//
-// gesvd_values_mixed is the precision-split driver: the O(mn^2) GE2BND
-// reduction and the O(n^2 nb) bulge chase run in float (16 zmm lanes), the
-// bidiagonal is promoted to double for BD2VAL/Sturm, and each singular
-// value is then refined against the original double data with one
-// Rayleigh-quotient step through the float factorization's singular
-// vectors — recovering ~double accuracy (the O(eps_f) vector errors enter
-// the quotient quadratically).
 #pragma once
 
 #include <vector>
@@ -65,13 +57,10 @@ struct SvdInfo {
   bool bisection_fallback = false;  ///< BD2VAL degraded to Sturm bisection
   std::size_t ge2bnd_tasks = 0;
 
-  /// Precision split of the solve: the reduction stages (GE2BND + BND2BD)
-  /// and the eigensolve stages (BD2VAL / Sturm / refinement). Equal on the
-  /// uniform-precision drivers; F32/F64 on gesvd_values_mixed.
+  /// Precision of the reduction stages (GE2BND + BND2BD) and of the
+  /// eigensolve stages (BD2VAL / Sturm); every driver runs both in T.
   Precision reduce_precision = Precision::F64;
   Precision values_precision = Precision::F64;
-  bool mixed = false;            ///< solve used the mixed-precision path
-  int refined_values = 0;        ///< Rayleigh-refined values (mixed path)
 
   /// True when the returned values are trustworthy — a flagged degraded
   /// solve (e.g. the Sturm bisection fallback) still produced a correct
@@ -97,16 +86,5 @@ std::vector<double> gesvd_values(ConstMatrixViewT<T> A,
                                  const GesvdOptions& opts,
                                  GesvdTimings* timings = nullptr,
                                  SvdInfo* info = nullptr);
-
-/// Mixed-precision GE2VAL: float reduction (BIDIAG with kept factors +
-/// float bulge chase), double eigensolve, and a double Rayleigh-quotient
-/// refinement of each value against the original input. opts.ge2bnd.alg is
-/// ignored (the factored path is BIDIAG-only). On well-conditioned inputs
-/// the result matches the all-double driver to ~1e-12 relative while the
-/// O(mn^2) work runs at float speed.
-std::vector<double> gesvd_values_mixed(ConstMatrixView A,
-                                       const GesvdOptions& opts,
-                                       GesvdTimings* timings = nullptr,
-                                       SvdInfo* info = nullptr);
 
 }  // namespace tbsvd

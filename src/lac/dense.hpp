@@ -127,8 +127,7 @@ using MatrixView = MatrixViewT<double>;
 using ConstMatrixView = ConstMatrixViewT<double>;
 using Matrix = MatrixT<double>;
 
-/// Elementwise precision conversion (float -> double promotion and
-/// double -> float demotion for the mixed-precision driver).
+/// Elementwise precision conversion (float <-> double).
 template <class TDst, class TSrc>
 inline void convert_matrix(ConstMatrixViewT<TSrc> src, MatrixViewT<TDst> dst) {
   TBSVD_ASSERT(src.m == dst.m && src.n == dst.n);

@@ -1,5 +1,5 @@
 // Givens plane rotations (LAPACK dlartg equivalent), used by the
-// band-to-bidiagonal bulge chasing stage. Templated over the scalar type
+// bidiagonal QR iteration (BD2VAL). Templated over the scalar type
 // T in {float, double}; the unsuffixed names remain the double aliases.
 #pragma once
 

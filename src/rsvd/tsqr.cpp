@@ -31,8 +31,8 @@ int resolve_tsqr_nb(int requested, int n) {
   return std::max(1, std::min(nb, cap));
 }
 
-// Replay the factorization's QR panel transforms over one tile column of C
-// (qform.cpp's pattern): forward order composes Q^T, reverse order Q.
+// Replay the factorization's QR panel transforms over one tile column of C:
+// forward order composes Q^T, reverse order Q.
 template <class T>
 void replay_col(const TsqrFactorsT<T>& f, Trans trans, TileMatrixT<T>& C,
                 int jq) {

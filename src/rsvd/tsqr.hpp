@@ -8,9 +8,9 @@
 // The result keeps the factorization implicit: the tiled matrix holds R
 // plus the Householder tiles, the T grids hold the block-reflector
 // triangles, and the op stream records the elimination order. r() extracts
-// the explicit n x n R; tsqr_apply_q / tsqr_form_q replay the panel
-// transforms core/qform-style (forward with Trans::Yes for Q^T C, reverse
-// with Trans::No for Q C), so the m x m Q is never materialized — the
+// the explicit n x n R; tsqr_apply_q / tsqr_form_q replay the recorded QR
+// panel transforms on C (forward with Trans::Yes for Q^T C, reverse with
+// Trans::No for Q C), so the m x m Q is never materialized — the
 // randomized range-finder (rsvd.hpp) only ever needs the thin factor.
 //
 // Padding contract: inputs are zero-padded to tile multiples internally.

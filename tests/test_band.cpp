@@ -1,26 +1,38 @@
-// Band stage validation: band storage, BND2BD bulge chasing (singular
-// values preserved vs dense oracle), BD2VAL QR iteration vs Sturm
-// bisection vs Jacobi.
+// Band stage validation: band storage and its dense views, the BND2BD
+// Householder bulge chase in float and double (singular values preserved
+// vs the Jacobi oracle, over ragged, wide, narrow, zero and graded bands),
+// BD2VAL QR iteration vs Sturm bisection vs Jacobi.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
+#include <type_traits>
 
 #include "band/band_matrix.hpp"
 #include "band/bd2val.hpp"
 #include "band/bnd2bd.hpp"
 #include "band/sturm.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "lac/jacobi_svd.hpp"
+#include "test_harness.hpp"
 
 namespace tbsvd {
 namespace {
 
-BandMatrix random_band(int n, int ku, std::uint64_t seed) {
+// Random upper band of width ku, rounded to T. With decades > 0 column j
+// is scaled by 10^(-decades * j / (n - 1)), so the trailing reflectors of
+// the chase see entries far below 1.
+template <class T = double>
+BandMatrixT<T> random_band(int n, int ku, std::uint64_t seed,
+                           double decades = 0.0) {
   Rng rng(seed);
-  BandMatrix B(n, 0, ku);
+  BandMatrixT<T> B(n, 0, ku);
   for (int j = 0; j < n; ++j) {
-    for (int i = std::max(0, j - ku); i <= j; ++i) B.at(i, j) = rng.normal();
+    const double g = std::pow(10.0, -decades * j / std::max(1, n - 1));
+    for (int i = std::max(0, j - ku); i <= j; ++i) {
+      B.at(i, j) = static_cast<T>(g * rng.normal());
+    }
   }
   return B;
 }
@@ -44,31 +56,123 @@ TEST(BandMatrix, StorageAndDense) {
   EXPECT_EQ(D(4, 0), 0.0);
 }
 
-class Bnd2bdP : public ::testing::TestWithParam<std::tuple<int, int>> {};
+TEST(BandMatrix, ViewIsDenseRectangleOfTheBand) {
+  BandMatrix B(8, 2, 3);
+  for (int j = 0; j < 8; ++j) {
+    for (int i = std::max(0, j - 3); i <= std::min(7, j + 2); ++i) {
+      B.at(i, j) = 10.0 * i + j;
+    }
+  }
+  // Rows 2..4 x columns 3..4: i - j spans [-2, 1], inside kl = 2, ku = 3.
+  MatrixView V = B.view(2, 3, 3, 2);
+  EXPECT_EQ(V.ld, 5);  // ldab - 1 = kl + ku
+  for (int jj = 0; jj < 2; ++jj) {
+    for (int ii = 0; ii < 3; ++ii) {
+      EXPECT_EQ(V(ii, jj), B.get(2 + ii, 3 + jj)) << ii << "," << jj;
+    }
+  }
+  V(1, 1) = -1.0;
+  EXPECT_EQ(B.get(3, 4), -1.0);
+  // A row segment is a 1 x n view with stride ld, as larfg takes it.
+  MatrixView R = B.view(1, 1, 1, 4);
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(R(0, k), B.get(1, 1 + k)) << k;
+  // A column segment reaching the deepest subdiagonal.
+  MatrixView C = B.view(5, 5, 3, 1);
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(C(k, 0), B.get(5 + k, 5)) << k;
+#ifndef NDEBUG
+  EXPECT_THROW((void)B.view(0, 0, 1, 5), internal_error);  // (0, 4) past ku
+  EXPECT_THROW((void)B.view(3, 0, 1, 1), internal_error);  // (3, 0) past kl
+  EXPECT_THROW((void)B.view(6, 6, 3, 1), internal_error);  // row 8 past n
+#endif
+}
 
-TEST_P(Bnd2bdP, PreservesSingularValues) {
-  const auto [n, ku] = GetParam();
-  BandMatrix B = random_band(n, ku, 1234 + n * 100 + ku);
-  const auto ref = jacobi_singular_values(B.to_dense().cview());
-  Bidiagonal bd = bnd2bd(B);
-  // Build the bidiagonal as a dense matrix and compare spectra.
+// bnd2bd<T>(B) must preserve B's singular values: compare the Jacobi
+// spectrum of the returned bidiagonal with the Jacobi spectrum of B, to
+// 45 n eps_T of sigma_max (the chase is a sequence of orthogonal
+// transformations, normwise backward stable).
+template <class T>
+void expect_bnd2bd_preserves_sv(const BandMatrixT<T>& B) {
+  const int n = B.n();
+  const auto ref = jacobi_singular_values<T>(B.to_dense().cview());
+  const BidiagonalT<T> bd = bnd2bd<T>(B);
+  ASSERT_EQ(static_cast<int>(bd.d.size()), n);
+  ASSERT_EQ(static_cast<int>(bd.e.size()), std::max(0, n - 1));
   Matrix D(n, n);
   for (int i = 0; i < n; ++i) D(i, i) = bd.d[i];
   for (int i = 0; i + 1 < n; ++i) D(i, i + 1) = bd.e[i];
   const auto got = jacobi_singular_values(D.cview());
   ASSERT_EQ(got.size(), ref.size());
+  const double tol =
+      test::tol_eps<T>(45.0 * std::max(1, n)) * (ref.empty() ? 0.0 : ref[0]);
   for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(got[i], ref[i], 1e-11 * (1.0 + ref[0])) << "sv " << i;
+    EXPECT_NEAR(got[i], ref[i], tol) << "sv " << i << " n=" << n
+                                     << " ku=" << B.ku();
   }
 }
 
+class Bnd2bdP : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(Bnd2bdP, PreservesSingularValues) {
+  const auto [n, ku] = GetParam();
+  const std::uint64_t seed = 1234 + n * 100 + ku;
+  expect_bnd2bd_preserves_sv<double>(random_band<double>(n, ku, seed));
+  expect_bnd2bd_preserves_sv<float>(random_band<float>(n, ku, seed));
+}
+
+// n not a multiple of b (33, 5), (41, 7); b >= n (10, 9), (12, 12),
+// (10, 15); the narrowest chased bands b = 2, 3; b <= 1 returns the input.
 INSTANTIATE_TEST_SUITE_P(
     SizesAndBandwidths, Bnd2bdP,
     ::testing::Values(std::tuple{1, 1}, std::tuple{2, 1}, std::tuple{4, 2},
                       std::tuple{8, 3}, std::tuple{16, 4}, std::tuple{16, 8},
                       std::tuple{33, 5}, std::tuple{40, 16},
                       std::tuple{64, 8}, std::tuple{50, 2},
-                      std::tuple{10, 9}, std::tuple{12, 1}));
+                      std::tuple{31, 3}, std::tuple{41, 7},
+                      std::tuple{10, 9}, std::tuple{12, 12},
+                      std::tuple{10, 15}, std::tuple{12, 1},
+                      std::tuple{7, 0}));
+
+template <class T>
+class Bnd2bdTyped : public ::testing::Test {};
+
+using ScalarTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(Bnd2bdTyped, ScalarTypes);
+
+// Every reflector of an all-zero band has tau == 0; the result is exactly
+// zero.
+TYPED_TEST(Bnd2bdTyped, ZeroBandStaysZero) {
+  using T = TypeParam;
+  const BidiagonalT<T> bd = bnd2bd<T>(BandMatrixT<T>(20, 0, 6));
+  for (T v : bd.d) EXPECT_EQ(v, T(0));
+  for (T v : bd.e) EXPECT_EQ(v, T(0));
+}
+
+// A zero row mid-matrix: reflectors whose tails are already zero (tau ==
+// 0) interleave with live ones, and one singular value is exactly lost.
+TYPED_TEST(Bnd2bdTyped, ZeroRowMidMatrix) {
+  using T = TypeParam;
+  const int n = 30, ku = 5;
+  BandMatrixT<T> B = random_band<T>(n, ku, 77);
+  for (int j = n / 2; j <= std::min(n - 1, n / 2 + ku); ++j) {
+    B.at(n / 2, j) = T(0);
+  }
+  expect_bnd2bd_preserves_sv<T>(B);
+}
+
+// Columns graded down to 1e-300 (double) / 1e-36 (float): at these sizes
+// some trailing reflectors' norms fall below larfg's safmin (min / eps),
+// which runs its rescaling loop.
+TYPED_TEST(Bnd2bdTyped, GradedBandRescuesTinyReflectors) {
+  using T = TypeParam;
+  const double decades = std::is_same_v<T, double> ? 300.0 : 36.0;
+  for (const auto& [n, ku] : {std::pair{41, 7}, std::pair{64, 4}}) {
+    const BandMatrixT<T> B = random_band<T>(n, ku, 88 + n, decades);
+    const BidiagonalT<T> bd = bnd2bd<T>(B);
+    for (T v : bd.d) EXPECT_TRUE(std::isfinite(v));
+    for (T v : bd.e) EXPECT_TRUE(std::isfinite(v));
+    expect_bnd2bd_preserves_sv<T>(B);
+  }
+}
 
 TEST(Bnd2bd, AlreadyBidiagonalIsUntouched) {
   const int n = 10;

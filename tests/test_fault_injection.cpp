@@ -197,58 +197,6 @@ TEST(FaultSweep, EverySiteFailsSafe) {
   }
 }
 
-// Same sweep through the mixed-precision driver: every site is on its
-// executed path too (the float instantiations of the kernels/panels, the
-// float bulge chase, the double BD2VAL, the poison site's mixed-path twin),
-// and the fail-safe contract is identical — no silent garbage.
-Outcome classify_mixed(const Matrix& A, const std::vector<double>& ref) {
-  SvdInfo info;
-  std::vector<double> sv;
-  try {
-    sv = gesvd_values_mixed(A.cview(), sweep_opts(), nullptr, &info);
-  } catch (const invalid_argument_error&) {
-    return Outcome::TypedError;
-  } catch (const numerical_hazard_error&) {
-    return Outcome::TypedError;
-  } catch (const convergence_error&) {
-    return Outcome::TypedError;
-  } catch (const internal_error&) {
-    return Outcome::TypedError;
-  } catch (const std::bad_alloc&) {
-    return Outcome::TypedError;
-  }
-  if (sv.size() != ref.size()) return Outcome::SilentGarbage;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    if (!std::isfinite(sv[i]) ||
-        std::fabs(sv[i] - ref[i]) > 1e-9 * (1.0 + ref[0])) {
-      return Outcome::SilentGarbage;
-    }
-  }
-  return info.status == Status::Ok ? Outcome::Success : Outcome::Degraded;
-}
-
-TEST(FaultSweep, MixedDriverEverySiteFailsSafe) {
-  const Matrix A = test::random_matrix(48, 32, 2674);
-  const std::vector<double> ref = gesvd_values(A.cview(), sweep_opts());
-  const std::vector<double> rref = rsvd_ref(A);
-
-  for (const char* site : fault::all_sites()) {
-    SCOPED_TRACE(site);
-    fault::Scoped armed(site);
-    // The batched, tune, and rsvd layers have no mixed-precision twin;
-    // their sites sweep through their own drivers here too so the
-    // catalogue invariant (every armed site fires) holds for both sweeps.
-    const Outcome out = tune_site(site)      ? classify_tune()
-                        : batched_site(site) ? classify_batched(A, ref)
-                        : rsvd_site(site)    ? classify_rsvd(A, rref)
-                                             : classify_mixed(A, ref);
-    EXPECT_TRUE(fault::fired())
-        << "armed site was never reached by the mixed pipeline";
-    EXPECT_NE(out, Outcome::SilentGarbage)
-        << "fault produced unflagged wrong values";
-  }
-}
-
 // Pin the per-site contract: which sites merely degrade and which must
 // throw (and with what), so a behavior change is a reviewed decision
 // rather than an accident.

@@ -7,10 +7,6 @@
 // 2. Driver accuracy: gesvd_values<float> (and the float baselines) must
 //    match the all-double reference spectrum to ~1e-5 relative — the
 //    O(n eps_f ||A||) backward-error budget of a float reduction.
-// 3. The mixed-precision driver gesvd_values_mixed must recover
-//    double-accuracy values (<= 1e-12 relative on well-conditioned
-//    inputs) while running the reduction in float, and report the
-//    precision split in SvdInfo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -306,7 +302,6 @@ TEST(FloatDrivers, MatchDoubleReferenceTo1e5) {
     const auto f = gesvd_values(Af.cview(), small_opts(), nullptr, &info);
     EXPECT_EQ(info.reduce_precision, Precision::F32);
     EXPECT_EQ(info.values_precision, Precision::F32);
-    EXPECT_FALSE(info.mixed);
     const auto gb = gebrd_singular_values(Af.cview());
     const auto ch = chan_singular_values(Af.cview());
     ASSERT_EQ(f.size(), ref.size());
@@ -343,101 +338,6 @@ TEST(FloatDrivers, HazardContractHolds) {
           << "sv " << i << " c=" << c;
     }
   }
-}
-
-// ------------------------------------------------------- mixed precision ---
-
-// The headline contract: float reduction + double eigensolve + Rayleigh
-// refinement recovers double accuracy (<= 1e-12 relative) on
-// well-conditioned inputs, with the precision split reported.
-TEST(MixedPrecision, RecoversDoubleAccuracy) {
-  struct Shape { int m, n, nb; };
-  for (const Shape s : {Shape{24, 16, 8}, Shape{48, 32, 16},
-                        Shape{64, 48, 16}}) {
-    std::vector<double> sv(s.n);
-    for (int i = 0; i < s.n; ++i)
-      sv[i] = std::pow(10.0, -1.0 * i / (s.n - 1));  // cond 10, sigma_max 1
-    Matrix A = generate_matrix_with_sv(s.m, s.n, sv, 42'000 + s.n);
-    GesvdOptions o;
-    o.nb = s.nb;
-    o.ge2bnd.ib = 8;
-    const auto ref = gesvd_values(A.cview(), o);
-
-    SvdInfo info;
-    const auto mx = gesvd_values_mixed(A.cview(), o, nullptr, &info);
-    ASSERT_EQ(mx.size(), ref.size());
-    EXPECT_TRUE(info.mixed);
-    EXPECT_EQ(info.reduce_precision, Precision::F32);
-    EXPECT_EQ(info.values_precision, Precision::F64);
-    EXPECT_GT(info.refined_values, 0);
-    EXPECT_EQ(info.status, Status::Ok);
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_NEAR(mx[i], ref[i], 1e-12 * (1.0 + ref[0]))
-          << "mixed sv " << i << " n=" << s.n;
-    }
-  }
-}
-
-// Without the refinement the promoted-bidiagonal spectrum is only float
-// accurate; the refinement must beat it by several orders of magnitude.
-TEST(MixedPrecision, RefinementBeatsFloatPipeline) {
-  const int m = 48, n = 32;
-  std::vector<double> sv(n);
-  for (int i = 0; i < n; ++i) sv[i] = 1.0 - 0.8 * i / (n - 1);
-  Matrix A = generate_matrix_with_sv(m, n, sv, 43'000);
-  GesvdOptions o;
-  o.nb = 16;
-  o.ge2bnd.ib = 8;
-  const auto ref = gesvd_values(A.cview(), o);
-  const auto f = gesvd_values(demoted(A.cview()).cview(), o);
-  const auto mx = gesvd_values_mixed(A.cview(), o);
-  double err_f = 0.0, err_mx = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    err_f = std::max(err_f, std::fabs(f[i] - ref[i]));
-    err_mx = std::max(err_mx, std::fabs(mx[i] - ref[i]));
-  }
-  EXPECT_LT(err_mx, 1e-12);
-  // The pure-float pipeline cannot be this accurate; require a 100x gap so
-  // a silently-disabled refinement fails loudly.
-  EXPECT_GT(err_f, 100.0 * err_mx);
-}
-
-// Mixed hazards: non-finite input throws, extreme norms scale, degenerate
-// shapes stay exact — the same contract as the uniform drivers.
-TEST(MixedPrecision, HazardAndDegenerateContract) {
-  Matrix A = test::random_matrix(24, 16, 44'000);
-  A(5, 3) = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(gesvd_values_mixed(A.cview(), small_opts()),
-               numerical_hazard_error);
-
-  Matrix B = test::random_matrix(32, 16, 44'100);
-  const auto ref = gesvd_values(B.cview(), small_opts());
-  for (const double c : {1e300, 1e-300}) {
-    Matrix Bs(32, 16);
-    for (int j = 0; j < 16; ++j)
-      for (int i = 0; i < 32; ++i) Bs(i, j) = c * B(i, j);
-    SvdInfo info;
-    const auto sv = gesvd_values_mixed(Bs.cview(), small_opts(), nullptr,
-                                       &info);
-    EXPECT_TRUE(info.scaled);
-    ASSERT_EQ(sv.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_NEAR(sv[i] / c, ref[i], 1e-11 * (1.0 + ref[0]))
-          << "sv " << i << " c=" << c;
-    }
-  }
-
-  Matrix Z(32, 16);
-  const auto zs = gesvd_values_mixed(Z.cview(), small_opts());
-  ASSERT_EQ(zs.size(), 16u);
-  for (double s : zs) EXPECT_EQ(s, 0.0);
-  Matrix E(0, 0);
-  EXPECT_TRUE(gesvd_values_mixed(E.cview(), small_opts()).empty());
-  Matrix One(1, 1);
-  One(0, 0) = -2.5;
-  const auto one = gesvd_values_mixed(One.cview(), small_opts());
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_NEAR(one[0], 2.5, 1e-12);
 }
 
 }  // namespace
