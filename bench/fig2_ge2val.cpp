@@ -6,8 +6,11 @@
 //   mkl*      — blocked GEBRD, threaded updates (paper: MKL)
 //   scalapack*— blocked GEBRD, nb = 48, serial  (paper: ScaLAPACK)
 //   elemental*— Chan preQR switch + GEBRD       (paper: Elemental)
-// Paper shapes: the tiled two-stage codes dominate; on tall-and-skinny the
-// one-stage GEBRD codes flatline while tbsvd/elemental keep scaling.
+// Recorded ordering (bench/history/37800fb, 4 threads, nb = 64, f64 and
+// f32): on squares of 256/512/768 the two tiled two-stage codes lead the
+// one-stage stand-ins by 1.3-2.6x, with plasma* level with or ahead of
+// tbsvd; on tall-and-skinny the one-stage GEBRD codes flatline near
+// 3-5 GFlop/s while tbsvd, plasma* and elemental* keep scaling with M.
 //
 // --dtype selects the working precision of every driver: f64 (default) or
 // f32. f32 series carry a _f32 suffix so the history tier tracks each
