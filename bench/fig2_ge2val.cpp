@@ -5,7 +5,8 @@
 //   plasma*   — tiled GE2BND with FlatTS tree   (paper: PLASMA)
 //   mkl*      — blocked GEBRD, threaded updates (paper: MKL)
 //   scalapack*— blocked GEBRD, nb = 48, serial  (paper: ScaLAPACK)
-//   elemental*— Chan preQR switch + GEBRD       (paper: Elemental)
+//   elemental*— Chan preQR switch (recursive-panel QR) + GEBRD
+//                                               (paper: Elemental)
 // Recorded ordering (bench/history/37800fb, 4 threads, nb = 64, f64 and
 // f32): on squares of 256/512/768 the two tiled two-stage codes lead the
 // one-stage stand-ins by 1.3-2.6x, with plasma* level with or ahead of
@@ -106,21 +107,21 @@ double run_gebrd(int m, int n, int nb, int nthreads,
 }
 
 double run_chan(int m, int n, int nthreads, const std::string& series) {
-  ChanOptions o;
-  o.gebrd.nb = 32;
-  o.gebrd.nthreads = nthreads;
+  GebrdOptions o;
+  o.nb = 32;
+  o.nthreads = nthreads;
   if (g_dtype == DType::F32) {
     MatrixT<float> A = input_matrix<float>(m, n);
     WallTimer w;
     auto sv = chan_singular_values(A.cview(), o);
     benchmark_keep(sv);
-    return record_point(series, m, n, o.gebrd.nb, 0, w.seconds());
+    return record_point(series, m, n, o.nb, 0, w.seconds());
   }
   Matrix A = input_matrix<double>(m, n);
   WallTimer w;
   auto sv = chan_singular_values(A.cview(), o);
   benchmark_keep(sv);
-  return record_point(series, m, n, o.gebrd.nb, 0, w.seconds());
+  return record_point(series, m, n, o.nb, 0, w.seconds());
 }
 
 }  // namespace

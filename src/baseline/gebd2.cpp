@@ -52,21 +52,15 @@ template <class T>
 std::vector<double> gebd2_singular_values(ConstMatrixViewT<T> A) {
   TBSVD_CHECK(A.m >= A.n, "gebd2_singular_values requires m >= n");
   if (A.n == 0) return {};
-  const ExtremeScan scan = scan_extremes<T>(A);
-  if (!scan.finite) {
-    throw numerical_hazard_error(
-        "gebd2_singular_values: non-finite entry in input");
-  }
+  const SafeScaling<T> guard(A, "gebd2_singular_values");
   MatrixT<T> W(A.m, A.n);
   copy<T>(A, W.view());
-  const double target = svd_safe_target<T>(scan.amax);
-  if (target != scan.amax) scale_stepwise<T>(W.view(), scan.amax, target);
+  guard.scale(W.view());
   std::vector<T> d, e;
   gebd2<T>(W.view(), d, e);
-  std::vector<T> svt = bd2val<T>(std::move(d), std::move(e));
-  std::vector<double> sv(svt.begin(), svt.end());
-  if (target != scan.amax) scale_stepwise<double>(sv, target, scan.amax);
-  return sv;
+  Bd2valInfo bi;
+  return guard.finish(bd2val<T>(std::move(d), std::move(e), {}, &bi), bi,
+                      nullptr);
 }
 
 #define TBSVD_INSTANTIATE_GEBD2(T)                                       \

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <new>
-#include <type_traits>
 
 #include "band/bd2val.hpp"
-#include "batched/small_svd.hpp"
+#include "baseline/chan.hpp"
 #include "common/check.hpp"
 #include "common/fault.hpp"
 #include "common/hazard.hpp"
@@ -141,7 +140,7 @@ void check_view(const MatrixViewT<T>& v, const char* who) {
 
 template <class T>
 void check_finite(ConstMatrixViewT<T> v, const char* who) {
-  if (!scan_extremes<T>(v).finite) {
+  if (!all_finite<T>(v)) {
     throw numerical_hazard_error(std::string(who) +
                                  ": non-finite entry in input");
   }
@@ -205,53 +204,29 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
     const int mw = std::max(p.m, p.n), nw = std::min(p.m, p.n);
     const bool wide = p.m < p.n;
 
+    MatrixViewT<T> s(ar.stage, mw, nw, mw);
     if (nw <= direct_max_cols) {
       // Small-problem fast path: the tile pipeline's fixed costs (padding
       // to nb multiples, per-tile task setup, the two-stage band detour)
-      // dominate at serving extents, so go direct — recursive-panel preQR
-      // (Chan's ordering) collapses tall problems to nw x nw, one-stage
-      // GEBRD bidiagonalizes, BD2VAL solves. Same hazard contract as the
-      // tiled driver: reject non-finite input, pre-scale extreme norms,
-      // unscale the spectrum on exit (docs/ROBUSTNESS.md).
-      const ExtremeScan scan = scan_extremes<T>(p);
-      if (!scan.finite) {
-        throw numerical_hazard_error(
-            "batched::svd: non-finite entry in input");
-      }
-      MatrixViewT<T> s(ar.stage, mw, nw, mw);
+      // dominate at serving extents, so go direct through the Chan staging
+      // on the arena copy, which the guard scales.
+      const SafeScaling<T> guard(p, "batched::svd");
       if (wide) {
         transpose<T>(p, s);
       } else {
         copy<T>(p, s);
       }
-      const double target = svd_safe_target<T>(scan.amax);
-      SvdInfo& info = res.infos[i];
-      if (target != scan.amax) {
-        scale_stepwise<T>(s, scan.amax, target);
-        info.scaled = true;
-        info.scale_from = scan.amax;
-        info.scale_to = target;
-      }
+      guard.scale(s);
       Bd2valInfo bi;
-      const std::vector<T> svt =
-          small_svd_values<T>(s, ar.tfac, ar.rbuf, {}, &bi);
-      info.status = bi.status;
-      info.qr_iterations = bi.qr_iterations;
-      info.bisection_fallback = bi.bisection_fallback;
-      info.reduce_precision =
-          std::is_same_v<T, float> ? Precision::F32 : Precision::F64;
-      info.values_precision = info.reduce_precision;
-      res.values[i].assign(svt.begin(), svt.end());
-      if (info.scaled) {
-        scale_stepwise<double>(res.values[i], target, scan.amax);
-      }
-      res.reports[i].status = info.status;
+      res.values[i] = guard.finish(
+          chan_stage_values<T>(s, ar.tfac, ar.rbuf, {}, {}, &bi), bi,
+          &res.infos[i]);
+      res.reports[i].status = res.infos[i].status;
       return;
     }
 
     ConstMatrixViewT<T> w = p;
     if (wide) {
-      MatrixViewT<T> s(ar.stage, mw, nw, mw);
       transpose<T>(p, s);
       w = s;
     }
@@ -259,25 +234,17 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
     // Larger batch members run the tiled driver with a right-sized tile
     // grid: the large-matrix default (nb = 64) would pad the columns up to
     // the next tile multiple and bulge-chase a wider band than needed.
+    // Per-problem graphs run serially on the batch worker (nthreads = 1).
     GesvdOptions go;
     go.nb = std::min(opts.svd_nb, nw);
     go.ge2bnd.ib = std::min(8, go.nb);
-    go.ge2bnd.serial = true;  // per-problem graphs run on the batch worker
 
     // R-first pre-reduction for tall problems (the paper's R-bidiag
-    // ordering): one recursive QR panel collapses mw x nw to nw x nw
-    // before the bidiagonalization pipeline runs.
+    // ordering): Chan's preQR collapses mw x nw to nw x nw before the
+    // bidiagonalization pipeline, whose guard then scans R.
     if (mw > 2 * nw) {
-      MatrixViewT<T> s(ar.stage, mw, nw, mw);
-      if (!wide) copy<T>(w, s);
-      MatrixViewT<T> tf(ar.tfac, nw, nw, nw);
-      geqrf_rec<T>(s, tf);
-      std::fill(ar.rbuf, ar.rbuf + static_cast<std::size_t>(nw) * nw, T(0));
-      MatrixViewT<T> r(ar.rbuf, nw, nw, nw);
-      for (int j = 0; j < nw; ++j) {
-        for (int ii = 0; ii <= j; ++ii) r(ii, j) = s(ii, j);
-      }
-      w = r;
+      if (!wide) copy<T>(p, s);
+      w = chan_preqr<T>(s, ar.tfac, ar.rbuf);
     }
 
     res.values[i] = gesvd_values<T>(w, go, nullptr, &res.infos[i]);

@@ -5,9 +5,9 @@
 // This is the "millions of users" workload shape from ROADMAP.md (cf. the
 // GMLS/compadre exemplar batching thousands of small QR solves over a team
 // pool): the per-problem kernels are the existing recursive panel
-// factorization (lac/qr_rec), the one-stage GEBRD + BD2VAL drivers for
-// small SVDs (preQR through the recursive panel, Chan's ordering), and the
-// tiled gesvd_values driver for larger batch members. The batch layer
+// factorization (lac/qr_rec), the Chan staging for small SVDs (preQR
+// through the recursive panel, one-stage GEBRD, BD2VAL; baseline/chan),
+// and the tiled gesvd_values driver for larger batch members. The batch layer
 // amortizes what a one-at-a-time loop pays per problem — workspace
 // allocation (one arena per worker, sized once for the batch's max
 // extents), right-sizing (a small problem skips the tile pipeline's
@@ -84,7 +84,7 @@ struct GelsProblem {
 /// Batched singular values. values[i] holds problem i's spectrum
 /// (descending, in double like the single-problem drivers) when
 /// reports[i].ok(); infos[i] carries the per-problem SvdInfo diagnostics
-/// (scaling, fallback, precision split).
+/// (scaling, fallback).
 struct SvdBatchResult {
   std::vector<std::vector<double>> values;
   std::vector<ProblemReport> reports;

@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
+#include "band/bd2val.hpp"
 #include "common/check.hpp"
+#include "common/error.hpp"
+#include "core/svd.hpp"
 
 namespace tbsvd {
 
@@ -119,6 +123,41 @@ void scale_stepwise(std::vector<T>& x, double cfrom, double cto) {
   scale_stepwise<T>(x.data(), x.size(), cfrom, cto);
 }
 
+template <class T>
+SafeScaling<T>::SafeScaling(ConstMatrixViewT<T> A, const char* driver) {
+  const ExtremeScan scan = scan_extremes<T>(A);
+  if (!scan.finite) {
+    throw numerical_hazard_error(std::string(driver) +
+                                 ": non-finite entry in input");
+  }
+  from_ = scan.amax;
+  to_ = svd_safe_target<T>(scan.amax);
+}
+
+template <class T>
+void SafeScaling<T>::scale(MatrixViewT<T> W) const {
+  if (active()) scale_stepwise<T>(W, from_, to_);
+}
+
+template <class T>
+std::vector<double> SafeScaling<T>::finish(const std::vector<T>& svt,
+                                           const Bd2valInfo& bi,
+                                           SvdInfo* info) const {
+  std::vector<double> sv(svt.begin(), svt.end());
+  if (active()) scale_stepwise<double>(sv, to_, from_);
+  if (info != nullptr) {
+    if (active()) {
+      info->scaled = true;
+      info->scale_from = from_;
+      info->scale_to = to_;
+    }
+    info->status = bi.status;
+    info->qr_iterations = bi.qr_iterations;
+    info->bisection_fallback = bi.bisection_fallback;
+  }
+  return sv;
+}
+
 #define TBSVD_INSTANTIATE_HAZARD(T)                                          \
   template ExtremeScan scan_extremes<T>(const T*, std::size_t) noexcept;     \
   template ExtremeScan scan_extremes<T>(ConstMatrixViewT<T>) noexcept;       \
@@ -129,7 +168,8 @@ void scale_stepwise(std::vector<T>& x, double cfrom, double cto) {
   template double svd_safe_target<T>(double) noexcept;                       \
   template void scale_stepwise<T>(T*, std::size_t, double, double);          \
   template void scale_stepwise<T>(MatrixViewT<T>, double, double);           \
-  template void scale_stepwise<T>(std::vector<T>&, double, double);
+  template void scale_stepwise<T>(std::vector<T>&, double, double);          \
+  template class SafeScaling<T>;
 
 TBSVD_INSTANTIATE_HAZARD(float)
 TBSVD_INSTANTIATE_HAZARD(double)

@@ -12,7 +12,8 @@
 // gets float-sized safety margins (smlnum ~ 9.1e-13, bignum ~ 1.1e12)
 // instead of the double ones. Scaling is exact up to one rounding per
 // entry, so scaled solves carry full relative accuracy; drivers flag it in
-// their SvdInfo. See docs/ROBUSTNESS.md for the full contract.
+// their SvdInfo. Every driver runs the protocol through one SafeScaling
+// guard. See docs/ROBUSTNESS.md for the full contract.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +22,9 @@
 #include "lac/dense.hpp"
 
 namespace tbsvd {
+
+struct SvdInfo;
+struct Bd2valInfo;
 
 /// One-pass scan result: finiteness and the max absolute entry (held in
 /// double regardless of the scanned precision — float magnitudes embed
@@ -68,5 +72,34 @@ template <class T>
 void scale_stepwise(MatrixViewT<T> A, double cfrom, double cto);
 template <class T>
 void scale_stepwise(std::vector<T>& x, double cfrom, double cto);
+
+/// The dgesvd protocol of a singular-value driver, in one place. The
+/// constructor scans the input view once: NaN/Inf throws
+/// numerical_hazard_error naming `driver`, and a max-norm outside the safe
+/// range picks the svd_safe_target. The driver then scale()s its own
+/// working storage (no extra copy) and hands the computed spectrum to
+/// finish(), which unscales it.
+template <class T>
+class SafeScaling {
+ public:
+  SafeScaling(ConstMatrixViewT<T> A, const char* driver);
+
+  /// W := W * (target / amax) when the input norm lies outside the safe
+  /// range; a no-op otherwise.
+  void scale(MatrixViewT<T> W) const;
+
+  /// svt in double, unscaled when scale() scales. A non-null info receives
+  /// the scaling (scaled, scale_from, scale_to) and bi's status,
+  /// qr_iterations and bisection_fallback; its other fields are untouched.
+  [[nodiscard]] std::vector<double> finish(const std::vector<T>& svt,
+                                           const Bd2valInfo& bi,
+                                           SvdInfo* info) const;
+
+ private:
+  [[nodiscard]] bool active() const noexcept { return to_ != from_; }
+
+  double from_ = 0.0;  ///< input max-norm
+  double to_ = 0.0;    ///< safe-range target (== from_ when inactive)
+};
 
 }  // namespace tbsvd

@@ -16,8 +16,7 @@ namespace tbsvd {
 
 struct ExecOptions {
   int ib = 32;         ///< inner blocking of the tile kernels
-  int nthreads = 1;    ///< worker threads (>= 1)
-  bool serial = false; ///< run in submission order (debugging / reference)
+  int nthreads = 1;    ///< worker threads (>= 1; 1 = submission order)
 };
 
 struct ExecResult {
@@ -63,7 +62,6 @@ struct Ge2bndOptions {
   int ib = 0;
   int nthreads = 1;
   double gamma = 2.0;  ///< Auto-tree parallelism target multiplier
-  bool serial = false;
 };
 
 /// Reduce tiled A (p >= q tile grid) to band bidiagonal form in place.

@@ -4,11 +4,12 @@
 // double}; singular values are always returned in double (float results
 // embed exactly), while every pipeline stage runs in T arithmetic.
 //
-// Hazard contract (docs/ROBUSTNESS.md): the input is scanned once up
-// front — NaN/Inf throws numerical_hazard_error; a max-norm outside the
-// per-precision safe range [svd_safe_min<T>(), svd_safe_max<T>()] is
-// scaled into it before the reduction (LAPACK dgesvd/dlascl protocol) and
-// the singular values are unscaled on exit, flagged in SvdInfo. A
+// Hazard contract (docs/ROBUSTNESS.md), run through the SafeScaling guard
+// (common/hazard.hpp): the input is scanned once up front — NaN/Inf
+// throws numerical_hazard_error; a max-norm outside the per-precision safe
+// range [svd_safe_min<T>(), svd_safe_max<T>()] is scaled into it before
+// the reduction (LAPACK dgesvd/dlascl protocol) and the singular values
+// are unscaled on exit, flagged in SvdInfo. A
 // QR-iteration stall in BD2VAL degrades to Sturm bisection
 // (Status::Degraded) instead of failing.
 #pragma once
@@ -42,9 +43,6 @@ struct GesvdTimings {
   }
 };
 
-/// Which precision a pipeline stage ran in.
-enum class Precision { F32, F64 };
-
 /// Per-solve diagnostics: what the hazard-hardening layer did. status is
 /// Ok on the clean path and Degraded when a fallback produced the (still
 /// correct) result; hazards that cannot be absorbed throw instead.
@@ -57,11 +55,6 @@ struct SvdInfo {
   bool bisection_fallback = false;  ///< BD2VAL degraded to Sturm bisection
   std::size_t ge2bnd_tasks = 0;
 
-  /// Precision of the reduction stages (GE2BND + BND2BD) and of the
-  /// eigensolve stages (BD2VAL / Sturm); every driver runs both in T.
-  Precision reduce_precision = Precision::F64;
-  Precision values_precision = Precision::F64;
-
   /// True when the returned values are trustworthy — a flagged degraded
   /// solve (e.g. the Sturm bisection fallback) still produced a correct
   /// spectrum, just off the primary path.
@@ -70,17 +63,10 @@ struct SvdInfo {
   }
 };
 
-/// Singular values (descending) of tiled A (consumed in place, p >= q).
-/// A is scanned for non-finite entries (throws numerical_hazard_error) and
-/// pre-scaled in place when its norm is extreme (reported via info).
-template <class T>
-std::vector<double> gesvd_values(TileMatrixT<T>& A, const GesvdOptions& opts,
-                                 GesvdTimings* timings = nullptr,
-                                 SvdInfo* info = nullptr);
-
 /// Singular values (descending) of a dense m x n matrix, m >= n. The input
 /// is padded to tile multiples internally (zero rows/columns add exactly
-/// zero singular values, which are trimmed from the result).
+/// zero singular values, which are trimmed from the result); the padded
+/// tiles are what an extreme norm scales (reported via info).
 template <class T>
 std::vector<double> gesvd_values(ConstMatrixViewT<T> A,
                                  const GesvdOptions& opts,

@@ -5,7 +5,7 @@
 #include <limits>
 #include <numeric>
 
-#include "batched/small_svd.hpp"
+#include "baseline/chan.hpp"
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -20,11 +20,6 @@ namespace {
 
 /// Library default for GesvdTruncatedOptions::oversample == 0.
 constexpr int kDefaultOversample = 8;
-
-template <class T>
-constexpr Precision precision_of() {
-  return sizeof(T) == sizeof(float) ? Precision::F32 : Precision::F64;
-}
 
 /// One-sided Jacobi with accumulated right rotations: on exit the columns
 /// of W (n x l) are mutually orthogonal, J (l x l, entered as identity)
@@ -112,25 +107,13 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   const int m = A.m, n = A.n;
   TruncatedSvdT<T> res;
   SvdInfo& si = res.info;
-  si.reduce_precision = precision_of<T>();
-  si.values_precision = precision_of<T>();
-
-  const ExtremeScan scan = scan_extremes<T>(A);
-  if (!scan.finite) {
-    throw numerical_hazard_error("gesvd_truncated: non-finite entry in input");
-  }
 
   // Safe-scaled working copy (the sketch products square the norm, so the
   // sketch must see data already inside the per-precision safe range).
+  const SafeScaling<T> guard(A, "gesvd_truncated");
   MatrixT<T> Aw(m, n);
   copy<T>(A, Aw.view());
-  const double target = svd_safe_target<T>(scan.amax);
-  if (target != scan.amax) {
-    scale_stepwise<T>(Aw.view(), scan.amax, target);
-    si.scaled = true;
-    si.scale_from = scan.amax;
-    si.scale_to = target;
-  }
+  guard.scale(Aw.view());
 
   const int oversample =
       tune::resolved_oversample(opts.oversample, kDefaultOversample);
@@ -185,19 +168,18 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   MatrixT<T> W(n, l);
   gemm<T>(Trans::Yes, Trans::No, T(1), Aw.cview(), Q.cview(), T(0), W.view());
 
-  // Values through the batched direct path's shared preQR + GEBRD + BD2VAL
-  // staging (on a copy when the factor path still needs W).
+  // Values through the Chan staging (on a copy when the factor path still
+  // needs W), unscaled by the guard.
   {
     MatrixT<T> Wc = W;
     std::vector<T> tfac(static_cast<std::size_t>(l) * l);
     std::vector<T> rbuf(static_cast<std::size_t>(l) * l);
     Bd2valInfo bi;
-    const std::vector<T> svt = batched::small_svd_values<T>(
-        Wc.view(), tfac.data(), rbuf.data(), opts.bd2val, &bi);
-    si.status = bi.status;
-    si.qr_iterations = bi.qr_iterations;
-    si.bisection_fallback = bi.bisection_fallback;
-    res.values.assign(svt.begin(), svt.begin() + k);
+    res.values = guard.finish(
+        chan_stage_values<T>(Wc.view(), tfac.data(), rbuf.data(), {},
+                             opts.bd2val, &bi),
+        bi, &si);
+    res.values.resize(k);
   }
 
   if (opts.want_factors) {
@@ -225,10 +207,6 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
     res.U = MatrixT<T>(m, k);
     gemm<T>(Trans::No, Trans::No, T(1), Q.cview(), Jk.cview(), T(0),
             res.U.view());
-  }
-
-  if (si.scaled) {
-    scale_stepwise<double>(res.values, si.scale_to, si.scale_from);
   }
   return res;
 }

@@ -3,9 +3,8 @@
 // (src/common/rng, deterministic from the seed), TSQR orthonormalization
 // (tsqr.hpp — the Greedy reduction tree on the work-stealing executor),
 // optional power iterations with TSQR re-orthonormalization after every
-// product, then a small SVD of the projected matrix through the batched
-// direct path's shared preQR + GEBRD + BD2VAL staging
-// (batched/small_svd.hpp).
+// product, then a small SVD of the projected matrix through the shared
+// Chan staging, preQR + GEBRD + BD2VAL (baseline/chan.hpp).
 //
 // Defaults: oversample = 8 additional sketch columns (clamped so the
 // sketch never exceeds n) and power_iters = 1 subspace iteration — the
@@ -16,7 +15,8 @@
 // oversample = 0 resolves through tune::resolved_oversample (today the
 // built-in 8; the single hook a future calibration probe plugs into).
 //
-// Hazard contract (docs/ROBUSTNESS.md), same as the full drivers: NaN/Inf
+// Hazard contract (docs/ROBUSTNESS.md), the full drivers' SafeScaling
+// guard: NaN/Inf
 // input throws numerical_hazard_error; k outside [1, min(m, n)] and other
 // option misuse throws invalid_argument_error; extreme norms are brought
 // into the per-precision safe range up front (dlascl protocol) and the

@@ -106,7 +106,7 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts) {
   TBSVD_CHECK(opts.nb >= 0 && opts.ib >= 0,
               "tsqr: nb/ib must be >= 0 (0 = tuned)");
   TBSVD_CHECK(opts.nthreads >= 1, "tsqr: nthreads must be >= 1");
-  if (!scan_extremes<T>(A).finite) {
+  if (!all_finite<T>(A)) {
     throw numerical_hazard_error("tsqr: non-finite entry in input");
   }
 
@@ -130,7 +130,6 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts) {
   ExecOptions eo;
   eo.ib = f.ib;
   eo.nthreads = opts.nthreads;
-  eo.serial = opts.serial;
   const ExecResult r = execute_tile_ops<T>(f.A, f.ops, eo, f.t);
   f.ntasks = r.ntasks;
   return f;

@@ -48,7 +48,6 @@ struct TsqrOptions {
   int ib = 0;
   int nthreads = 1;    ///< executor workers (>= 1)
   double gamma = 2.0;  ///< Auto-tree parallelism target multiplier
-  bool serial = false; ///< run ops in submission order (debug/reference)
 };
 
 /// A factored TSQR: the tiled matrix (R + Householder tiles, padded to

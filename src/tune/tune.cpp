@@ -282,7 +282,6 @@ int probe_direct_cutoff(int reps) {
     GesvdOptions tiled;
     tiled.nb = std::min(16, n);
     tiled.ge2bnd.ib = std::min(8, tiled.nb);
-    tiled.ge2bnd.serial = true;
     const double t_tiled = time_best_of<T>(reps, [&] {
       auto sv = gesvd_values<T>(A.cview(), tiled);
       (void)sv;

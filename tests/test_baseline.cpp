@@ -78,9 +78,8 @@ TEST(Gebrd, PrescribedSpectrumRecovered) {
 }
 
 TEST(Chan, SwitchRuleAndCorrectness) {
-  ChanOptions opts;
-  EXPECT_TRUE(chan_uses_preqr(120, 100, opts));
-  EXPECT_FALSE(chan_uses_preqr(110, 100, opts));
+  EXPECT_TRUE(chan_uses_preqr(120, 100));
+  EXPECT_FALSE(chan_uses_preqr(110, 100));
 
   // Tall-and-skinny: preQR path.
   GenOptions gopt;
@@ -88,14 +87,14 @@ TEST(Chan, SwitchRuleAndCorrectness) {
   gopt.cond = 100.0;
   std::vector<double> sv;
   Matrix A = generate_latms(90, 20, gopt, sv);
-  const auto got = chan_singular_values(A.cview(), opts);
+  const auto got = chan_singular_values(A.cview());
   ASSERT_EQ(got.size(), sv.size());
   for (std::size_t i = 0; i < sv.size(); ++i)
     EXPECT_NEAR(got[i], sv[i], 1e-11) << "sv " << i;
 
   // Square: plain GEBRD path, same answer.
   Matrix B = generate_latms(24, 24, gopt, sv);
-  const auto got2 = chan_singular_values(B.cview(), opts);
+  const auto got2 = chan_singular_values(B.cview());
   for (std::size_t i = 0; i < sv.size(); ++i)
     EXPECT_NEAR(got2[i], sv[i], 1e-11) << "sv " << i;
 }

@@ -1,6 +1,6 @@
 // Adversarial-input tier (docs/ROBUSTNESS.md): every public singular-value
-// driver — tiled gesvd_values, the GEBRD/GEBD2/Chan baselines, bd2val,
-// sturm — must turn NaN/Inf input into a typed error, absorb extreme norms
+// driver — tiled gesvd_values, batched::svd, the GEBRD/GEBD2/Chan
+// baselines, bd2val, sturm — must turn NaN/Inf input into a typed error, absorb extreme norms
 // (1e±300 scale) through safe pre-scaling with full relative accuracy, and
 // handle zero matrices and degenerate shapes (1x1, empty) exactly. None of
 // them may ever return silent garbage.
@@ -14,6 +14,7 @@
 #include "baseline/chan.hpp"
 #include "baseline/gebd2.hpp"
 #include "baseline/gebrd.hpp"
+#include "batched/batched.hpp"
 #include "common/hazard.hpp"
 #include "core/svd.hpp"
 #include "tile/matrix_gen.hpp"
@@ -91,11 +92,11 @@ TEST(Adversarial, NonFiniteInputThrowsTypedEverywhere) {
 }
 
 TEST(Adversarial, TiledDriverRejectsPoisonedTile) {
+  // GE2BND's own entry scan catches a tile poisoned after the driver scan.
   TileMatrix A(32, 32, 16);
   A.from_dense(test::random_matrix(32, 32, 3).cview());
   A.tile(1, 0)(7, 7) = kNan;
-  GesvdOptions opts = small_opts();
-  EXPECT_THROW(gesvd_values(A, opts), numerical_hazard_error);
+  EXPECT_THROW(ge2bnd(A, small_opts().ge2bnd), numerical_hazard_error);
 }
 
 // ------------------------------------------------------- extreme norms ----
@@ -121,6 +122,36 @@ TEST_P(ExtremeNormP, ScaledSolveMatchesUnscaledReference) {
   // well-conditioned reference, per singular value.
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(sv[i] / c, ref[i], 1e-12 * ref[i]) << "sv " << i;
+  }
+}
+
+TEST_P(ExtremeNormP, BatchedMembersScaleToo) {
+  const double c = GetParam();
+  // One member per batched::svd path: 64 x 48 goes direct (n <= 48), and
+  // 160 x 56 runs the tiled pipeline after the R-first preQR (m > 2n).
+  std::vector<Matrix> mats = {test::random_matrix(64, 48, 2027),
+                              test::random_matrix(160, 56, 2028)};
+  batched::BatchOptions opts;
+  opts.direct_max_cols = 48;
+  std::vector<ConstMatrixView> views;
+  for (const Matrix& a : mats) views.push_back(a.cview());
+  const batched::SvdBatchResult ref = batched::svd<double>(views, opts);
+
+  for (Matrix& a : mats) {
+    for (int j = 0; j < a.cols(); ++j)
+      for (int i = 0; i < a.rows(); ++i) a(i, j) *= c;
+  }
+  const batched::SvdBatchResult res = batched::svd<double>(views, opts);
+  ASSERT_TRUE(ref.all_ok());
+  ASSERT_TRUE(res.all_ok());
+  for (std::size_t p = 0; p < mats.size(); ++p) {
+    SCOPED_TRACE(p);
+    EXPECT_TRUE(res.infos[p].scaled);
+    ASSERT_EQ(res.values[p].size(), ref.values[p].size());
+    for (std::size_t i = 0; i < ref.values[p].size(); ++i) {
+      const double r = ref.values[p][i];
+      EXPECT_NEAR(res.values[p][i] / c, r, 1e-12 * r) << "sv " << i;
+    }
   }
 }
 

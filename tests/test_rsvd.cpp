@@ -121,9 +121,8 @@ TEST(Tsqr, ConformsToDenseOracleFloat) {
 
 TEST(Tsqr, ThreadedMatchesSerialBitwise) {
   const Matrix A = random_matrix(256, 64, 77);
-  TsqrOptions serial;
+  TsqrOptions serial;  // nthreads = 1 runs the ops in submission order
   serial.nb = 32;
-  serial.serial = true;
   TsqrOptions threaded;
   threaded.nb = 32;
   threaded.nthreads = 4;
