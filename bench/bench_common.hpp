@@ -227,8 +227,8 @@ inline const tune::PrecisionCalib& load_tune_table(const char* path,
 }
 
 // Kernel-time calibration and the measured cost model were promoted into
-// the library (src/tune/calibrate.hpp) so the autotuner and the scheduler's
-// priority seeding share them with the benches; re-exported here to keep
+// the library (src/tune/calibrate.hpp) so the autotuner and the executor's
+// priority weights share them with the benches; re-exported here to keep
 // every bench's call sites unchanged.
 using tune::calibrate_kernels;
 using tune::measured_cost;

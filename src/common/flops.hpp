@@ -15,13 +15,6 @@ constexpr double flops_ge2bnd(double m, double n) noexcept {
   return 4.0 * n * n * (m - n / 3.0);
 }
 
-/// Actual flops of R-bidiagonalization: QR(m,n) + BIDIAG(n,n)
-/// (2n^2(m + n), Golub & Van Loan p.284). Only used in ablation output;
-/// performance plots use flops_ge2bnd for both, as in the paper.
-constexpr double flops_rbidiag(double m, double n) noexcept {
-  return 2.0 * n * n * (m + n);
-}
-
 /// Flops of a blocked QR factorization of an m x n matrix, m >= n.
 constexpr double flops_geqrf(double m, double n) noexcept {
   return 2.0 * n * n * (m - n / 3.0);

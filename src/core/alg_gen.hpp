@@ -10,6 +10,8 @@
 //
 // The streams are valid sequential orders: executing ops one by one in
 // order is correct, and the superscalar runtime extracts all parallelism.
+// They carry no scheduling priorities: the executor ranks the task graph
+// it builds from the stream (upward ranks, runtime/task_graph.hpp).
 #pragma once
 
 #include <vector>
@@ -38,10 +40,6 @@ struct AlgConfig {
 [[nodiscard]] std::vector<TileOp> build_hqr_ops(int p, int q,
                                                 const AlgConfig& cfg);
 
-/// Tiled LQ factorization of a p x q grid (used in tests).
-[[nodiscard]] std::vector<TileOp> build_hlq_ops(int p, int q,
-                                                const AlgConfig& cfg);
-
 /// BIDIAG on a p x q grid, p >= q: full -> band bidiagonal.
 [[nodiscard]] std::vector<TileOp> build_bidiag_ops(int p, int q,
                                                    const AlgConfig& cfg);
@@ -51,11 +49,11 @@ struct AlgConfig {
 [[nodiscard]] std::vector<TileOp> build_rbidiag_ops(int p, int q,
                                                     const AlgConfig& cfg);
 
-/// Crossover rule used by the `Auto` algorithm selection: the paper (after
-/// Chan) switches to R-BIDIAG when m >= 5/3 n in flops; Elemental uses
-/// m >= 1.2 n. In tile space we switch when p >= 2 q, the point where the
-/// critical-path study (Section IV.C, delta_s in [5, 8]) still favours
-/// BIDIAG but communication/flop savings favour R-BIDIAG in practice.
+/// Crossover rule used by the `Auto` algorithm selection: R-BIDIAG when
+/// 3p >= 5q, i.e. Chan's flop crossover m >= 5/3 n expressed on the tile
+/// grid (Elemental uses m >= 1.2 n). The critical-path study (Section
+/// IV.C, delta_s in [5, 8]) still favours BIDIAG at that ratio, but the
+/// flop and communication savings favour R-BIDIAG in practice.
 [[nodiscard]] bool prefer_rbidiag(int p, int q) noexcept;
 
 }  // namespace tbsvd

@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "common/hazard.hpp"
 #include "common/timer.hpp"
-#include "cp/dag_analysis.hpp"
 #include "kernels/lq_kernels.hpp"
 #include "kernels/qr_kernels.hpp"
 #include "kernels/tgrid.hpp"
@@ -124,21 +123,19 @@ ExecResult execute_tile_ops(TileMatrixT<T>& A, const std::vector<TileOp>& ops,
   TBSVD_CHECK(opt.nthreads >= 1, "ExecOptions: need nthreads >= 1");
   GridSet<T> grids{&A, &tf.tqts, &tf.tqtt, &tf.tlts, &tf.tltt};
 
-  // With a machine calibration active, reseed the scheduler priorities from
-  // the weighted critical path (upward ranks under measured kernel costs)
-  // instead of the generator's step ordinals. Priorities only order ready
-  // tasks, so the result is bit-identical either way — just scheduled in a
-  // measured CP-first order.
-  std::vector<int> wprio;
-  if (OpCost cost = tune::active_op_cost(static_cast<int>(sizeof(T)))) {
-    wprio = cp_priorities(ops, cost);
-  }
-
+  // Ready tasks run critical-path first: each task's priority is its
+  // upward rank in this graph, weighted by the active calibration's
+  // measured kernel seconds when one is loaded and by the paper's Table-I
+  // units otherwise. Priorities only order ready tasks, so the result is
+  // bit-identical whatever the weights.
+  const OpCost cost = tune::active_op_cost(static_cast<int>(sizeof(T)));
+  std::vector<double> weight(ops.size());
   TaskGraph graph;
   std::vector<TileAccess> acc;
   std::vector<DataRef> refs;
   for (std::size_t id = 0; id < ops.size(); ++id) {
     const TileOp& t = ops[id];
+    weight[id] = cost ? cost(t) : op_weight_units(t.op);
     acc.clear();
     op_accesses(t, acc);
     refs.clear();
@@ -147,8 +144,9 @@ ExecResult execute_tile_ops(TileMatrixT<T>& A, const std::vector<TileOp>& ops,
     }
     graph.submit(op_name(t.op), [t, grids, ib = opt.ib] {
       run_op<T>(t, grids, ib);
-    }, refs, wprio.empty() ? t.prio : wprio[id]);
+    }, refs);
   }
+  graph.prioritize_by_rank(weight);
 
   WallTimer timer;
   if (opt.nthreads == 1) {

@@ -33,7 +33,6 @@ struct TileOp {
   int piv;
   int tgt;
   int upd;
-  int prio;
 };
 
 [[nodiscard]] const char* op_name(Op op) noexcept;

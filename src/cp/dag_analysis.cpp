@@ -47,31 +47,6 @@ void build_dag(const std::vector<TileOp>& ops,
   }
 }
 
-std::vector<int> cp_priorities(const std::vector<TileOp>& ops,
-                               const OpCost& cost) {
-  std::vector<std::vector<int>> preds;
-  build_dag(ops, preds);
-  // Upward rank: rank[i] = w(i) + max over successors of rank[succ].
-  // Ops are in submission (topological) order and preds point backwards,
-  // so one reverse sweep finalizes each task before pushing its rank to
-  // its predecessors.
-  std::vector<double> rank(ops.size(), 0.0);
-  double max_rank = 0.0;
-  for (std::size_t i = ops.size(); i-- > 0;) {
-    rank[i] += cost(ops[i]);  // rank[i] held the max successor rank so far
-    max_rank = std::max(max_rank, rank[i]);
-    for (int p : preds[i]) rank[p] = std::max(rank[p], rank[i]);
-  }
-  std::vector<int> out(ops.size(), 0);
-  if (max_rank > 0.0) {
-    const double scale = static_cast<double>(1 << 20) / max_rank;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      out[i] = static_cast<int>(rank[i] * scale);
-    }
-  }
-  return out;
-}
-
 DagStats analyze_dag(const std::vector<TileOp>& ops, const OpCost& cost) {
   std::vector<std::vector<int>> preds;
   build_dag(ops, preds);

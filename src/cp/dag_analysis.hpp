@@ -35,12 +35,4 @@ struct DagStats {
 void build_dag(const std::vector<TileOp>& ops,
                std::vector<std::vector<int>>& preds);
 
-/// Scheduler priority per op from its upward rank (weighted distance to
-/// the DAG's sink) under `cost`: ops deeper on the critical path get larger
-/// values, quantized to [0, 2^20] for TaskGraph::submit. Feeding measured
-/// kernel costs (tune::active_op_cost) here replaces the generator's
-/// coarse step-ordinal priorities with machine-calibrated CP-first order.
-[[nodiscard]] std::vector<int> cp_priorities(const std::vector<TileOp>& ops,
-                                             const OpCost& cost);
-
 }  // namespace tbsvd

@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "common/check.hpp"
+#include "runtime/task_graph.hpp"
 #include "tune/tune.hpp"
 
 namespace tbsvd {
@@ -44,12 +45,10 @@ DistSimResult simulate_distributed(const std::vector<TileOp>& ops,
     res.total_work += w[i];
   }
   // Critical-path ranks ignoring communication (good priorities anyway).
-  std::vector<double> rank(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double best = 0.0;
-    for (int s : succs[ii]) best = std::max(best, rank[s]);
-    rank[ii] = w[ii] + best;
-  }
+  const std::vector<double> rank =
+      upward_ranks(w, [&succs](int i) -> const std::vector<int>& {
+        return succs[i];
+      });
 
   const double edge_cost = params.edge_cost();
   std::vector<double> ready_time(n, 0.0);

@@ -1,87 +1,24 @@
 #include "cp/sim_sched.hpp"
 
-#include <algorithm>
-#include <queue>
-
 #include "common/check.hpp"
+#include "cp/dist_sim.hpp"
 
 namespace tbsvd {
 
 SimResult simulate_schedule(const std::vector<TileOp>& ops, int nprocs,
                             const OpCost& cost) {
   TBSVD_CHECK(nprocs >= 1, "simulate_schedule: need >= 1 processor");
-  const std::size_t n = ops.size();
+  // One node of `nprocs` cores: no edge crosses a node, so the network
+  // model (and the tile size pricing it) never enters.
+  DistSimParams params;
+  params.cores_per_node = nprocs;
+  params.nb = 1;
+  const DistSimResult d =
+      simulate_distributed(ops, Distribution(1, 1), params, cost);
   SimResult res;
-  if (n == 0) return res;
-
-  std::vector<std::vector<int>> preds;
-  build_dag(ops, preds);
-  std::vector<std::vector<int>> succs(n);
-  std::vector<int> indeg(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    indeg[i] = static_cast<int>(preds[i].size());
-    for (int p : preds[i]) succs[p].push_back(static_cast<int>(i));
-  }
-
-  std::vector<double> w(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    w[i] = cost(ops[i]);
-    res.total_work += w[i];
-  }
-  // Backward ranks: longest path to a sink (inclusive).
-  std::vector<double> rank(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double best = 0.0;
-    for (int s : succs[ii]) best = std::max(best, rank[s]);
-    rank[ii] = w[ii] + best;
-  }
-
-  struct ReadyEntry {
-    double rank;
-    int id;
-    bool operator<(const ReadyEntry& o) const noexcept {
-      if (rank != o.rank) return rank < o.rank;  // max-heap on rank
-      return id > o.id;
-    }
-  };
-  struct Completion {
-    double t;
-    int id;
-    bool operator>(const Completion& o) const noexcept { return t > o.t; }
-  };
-
-  std::priority_queue<ReadyEntry> ready;
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
-      running;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indeg[i] == 0) ready.push({rank[i], static_cast<int>(i)});
-  }
-
-  double now = 0.0;
-  int free_procs = nprocs;
-  std::size_t done = 0;
-  while (done < n) {
-    while (free_procs > 0 && !ready.empty()) {
-      const int id = ready.top().id;
-      ready.pop();
-      running.push({now + w[id], id});
-      --free_procs;
-    }
-    TBSVD_CHECK(!running.empty(), "list scheduler stalled (cyclic DAG?)");
-    now = running.top().t;
-    // Retire everything finishing at `now`.
-    while (!running.empty() && running.top().t <= now) {
-      const int id = running.top().id;
-      running.pop();
-      ++free_procs;
-      ++done;
-      for (int s : succs[id]) {
-        if (--indeg[s] == 0) ready.push({rank[s], s});
-      }
-    }
-  }
-  res.makespan = now;
-  res.utilization = res.total_work / (res.makespan * nprocs);
+  res.makespan = d.makespan;
+  res.total_work = d.total_work;
+  if (d.makespan > 0.0) res.utilization = d.total_work / (d.makespan * nprocs);
   return res;
 }
 

@@ -15,8 +15,9 @@ struct SimResult {
 };
 
 /// Event-driven list scheduling with `nprocs` identical workers and zero
-/// communication cost. Priority = longest path to a sink (critical-path
-/// scheduling), tie-broken by submission order.
+/// communication cost: simulate_distributed on a single node. Priority =
+/// upward rank (longest path to a sink, runtime/task_graph.hpp), the same
+/// critical-path order the executor uses, tie-broken by submission order.
 [[nodiscard]] SimResult simulate_schedule(const std::vector<TileOp>& ops,
                                           int nprocs,
                                           const OpCost& cost = unit_cost());

@@ -104,14 +104,8 @@ void ttmqr_ref(Trans trans, MatrixViewT<T> C1, MatrixViewT<T> C2,
 constexpr double flops_geqrt(double m, double n) {
   return 2.0 * m * n * n - (2.0 / 3.0) * n * n * n;
 }
-constexpr double flops_unmqr(double m, double n, double k) {
-  return 4.0 * m * n * k - 2.0 * n * k * k;  // larfb-style, V m x k
-}
 constexpr double flops_tsqrt(double m2, double n) {
   return 2.0 * m2 * n * n;
-}
-constexpr double flops_tsmqr(double m2, double n, double k) {
-  return 4.0 * m2 * n * k;
 }
 constexpr double flops_ttqrt(double n) { return (2.0 / 3.0) * n * n * n; }
 constexpr double flops_ttmqr(double n, double nc) { return 2.0 * n * n * nc; }

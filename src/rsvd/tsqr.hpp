@@ -3,7 +3,8 @@
 // configurable reduction tree (Greedy binomial by default, the
 // communication-optimal shape of Demmel et al.'s TSQR; FlatTS/FlatTT/Auto
 // as in the paper's Section III) — executed on the work-stealing Scheduler
-// with CP-fed priorities, exactly like the GE2BND pipeline.
+// through execute_tile_ops, so ready tasks run critical-path first (upward
+// ranks of the task graph) exactly as in the GE2BND pipeline.
 //
 // The result keeps the factorization implicit: the tiled matrix holds R
 // plus the Householder tiles, the T grids hold the block-reflector

@@ -2,10 +2,11 @@
 // locality-first scheduling (a completed task's newly-ready successors go to
 // the finishing worker, approximating PARSEC's data-reuse heuristic) and
 // work stealing for load balance. Thieves steal from the *cold* end of a
-// victim's queue: the priorities come from the critical-path analysis in
-// cp/dag_analysis, so racing the victim for its hottest entry would invert
-// the CP-first policy — the victim keeps its critical-path work, the thief
-// takes the task whose delay costs the makespan least.
+// victim's queue: the priorities are upward ranks (critical-path lengths,
+// upward_ranks in task_graph.hpp), so racing the victim for its hottest
+// entry would invert the CP-first policy — the victim keeps its
+// critical-path work, the thief takes the task whose delay costs the
+// makespan least.
 //
 // Idle workers sleep on a condition variable. The wakeup protocol is
 // lost-wakeup-free: a worker snapshots work_signal_ *before* probing the

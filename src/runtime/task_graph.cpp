@@ -34,6 +34,18 @@ void DepTracker::register_task(int id, const DataRef* refs, std::size_t nrefs,
   preds.erase(std::remove(preds.begin(), preds.end(), id), preds.end());
 }
 
+std::vector<int> rank_priorities(const std::vector<double>& rank) {
+  std::vector<int> prio(rank.size(), 0);
+  const double max_rank =
+      rank.empty() ? 0.0 : *std::max_element(rank.begin(), rank.end());
+  if (max_rank > 0.0) {
+    for (std::size_t i = 0; i < rank.size(); ++i) {
+      prio[i] = static_cast<int>(rank[i] / max_rank * (1 << 20));
+    }
+  }
+  return prio;
+}
+
 int TaskGraph::submit_impl(const char* name, TaskFn fn, const DataRef* refs,
                            std::size_t nrefs, int priority) {
   TBSVD_CHECK(!executed_, "cannot submit to an executed TaskGraph");
@@ -59,6 +71,16 @@ int TaskGraph::submit(const char* name, TaskFn fn,
 int TaskGraph::submit(const char* name, TaskFn fn,
                       const std::vector<DataRef>& refs, int priority) {
   return submit_impl(name, std::move(fn), refs.data(), refs.size(), priority);
+}
+
+void TaskGraph::prioritize_by_rank(const std::vector<double>& weight) {
+  TBSVD_CHECK(weight.size() == tasks_.size(),
+              "prioritize_by_rank: need one weight per task");
+  const std::vector<int> prio = rank_priorities(upward_ranks(
+      weight, [this](int i) -> const std::vector<int>& {
+        return tasks_[i].successors;
+      }));
+  for (std::size_t i = 0; i < tasks_.size(); ++i) tasks_[i].priority = prio[i];
 }
 
 void TaskGraph::run(int num_threads) {

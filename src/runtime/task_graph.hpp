@@ -10,6 +10,7 @@
 //   g.run(nthreads);   // or g.run_serial() for a reference execution
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -51,6 +52,31 @@ class DepTracker {
   std::unordered_map<const void*, DataState> state_;
 };
 
+/// Upward rank of every task of a DAG whose ids are a topological order
+/// (submission order is one): rank[i] = weight[i] + max over successors s
+/// of rank[s], the weighted length of the longest path from task i to a
+/// sink. Scheduling ready tasks by decreasing rank is critical-path-first
+/// list scheduling (Bouwmeester-Langou; the source paper's Section IV).
+/// `successors(i)` returns an iterable of ids greater than i. This one
+/// reverse sweep serves the executor and the schedule simulators.
+template <class Successors>
+[[nodiscard]] std::vector<double> upward_ranks(
+    const std::vector<double>& weight, const Successors& successors) {
+  std::vector<double> rank(weight.size(), 0.0);
+  for (std::size_t i = weight.size(); i-- > 0;) {
+    double best = 0.0;
+    for (int s : successors(static_cast<int>(i))) {
+      best = std::max(best, rank[s]);
+    }
+    rank[i] = weight[i] + best;
+  }
+  return rank;
+}
+
+/// Quantizes ranks to TaskGraph priorities in [0, 2^20]: the largest rank
+/// maps to 2^20, zero to 0 (all zeros when every rank is zero).
+[[nodiscard]] std::vector<int> rank_priorities(const std::vector<double>& rank);
+
 /// Static task DAG with named tasks, priorities and trace collection.
 class TaskGraph {
  public:
@@ -68,6 +94,11 @@ class TaskGraph {
              int priority = 0);
 
   [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
+
+  /// Replaces every submitted task's priority by its quantized upward rank
+  /// under `weight` (one entry per task), read off the graph's own
+  /// successor lists.
+  void prioritize_by_rank(const std::vector<double>& weight);
 
   /// Execute with `num_threads` workers (>= 1). Blocks until completion.
   /// May be called once per graph.

@@ -25,11 +25,6 @@ class Distribution {
     return (i % r_) * c_ + (j % c_);
   }
 
-  /// Grid row of tile-row i.
-  [[nodiscard]] int owner_row(int i) const noexcept { return i % r_; }
-  /// Grid column of tile-column j.
-  [[nodiscard]] int owner_col(int j) const noexcept { return j % c_; }
-
   /// Square-ish grid for `nodes` nodes: R = floor(sqrt(nodes)) adjusted to
   /// divide, C = nodes / R (the paper uses sqrt(N) x sqrt(N) for square
   /// matrices and N x 1 for tall-and-skinny ones).

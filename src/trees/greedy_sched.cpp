@@ -4,12 +4,16 @@
 #include <queue>
 
 #include "common/check.hpp"
+#include "core/tile_ops.hpp"
 
 namespace tbsvd {
 
 GreedyQrSchedule greedy_qr_schedule(int p, int q) {
   TBSVD_CHECK(p >= 1 && q >= 1, "greedy_qr_schedule: empty grid");
-  constexpr double kGeqrt = 4.0, kUnmqr = 6.0, kTtqrt = 2.0, kTtmqr = 6.0;
+  const double w_geqrt = op_weight_units(Op::GEQRT);
+  const double w_unmqr = op_weight_units(Op::UNMQR);
+  const double w_ttqrt = op_weight_units(Op::TTQRT);
+  const double w_ttmqr = op_weight_units(Op::TTMQR);
 
   const int steps = std::min(p, q);
   GreedyQrSchedule sched;
@@ -34,12 +38,12 @@ GreedyQrSchedule greedy_qr_schedule(int p, int q) {
     // then run its UNMQR update chain on the trailing columns.
     std::priority_queue<Avail, std::vector<Avail>, std::greater<>> pool;
     for (int i = k; i < p; ++i) {
-      const double geqrt_end = tau[i][k] + kGeqrt;
+      const double geqrt_end = tau[i][k] + w_geqrt;
       tau[i][k] = geqrt_end;
       makespan = std::max(makespan, geqrt_end);
       double drained = geqrt_end;
       for (int j = k + 1; j < q; ++j) {
-        const double end = std::max(geqrt_end, tau[i][j]) + kUnmqr;
+        const double end = std::max(geqrt_end, tau[i][j]) + w_unmqr;
         tau[i][j] = end;
         drained = std::max(drained, end);
         makespan = std::max(makespan, end);
@@ -58,7 +62,7 @@ GreedyQrSchedule greedy_qr_schedule(int p, int q) {
       const Avail a2 = pool.top();
       pool.pop();
       const double start = std::max(a1.t, a2.t);
-      const double ttqrt_end = start + kTtqrt;
+      const double ttqrt_end = start + w_ttqrt;
       const int surv = std::min(a1.row, a2.row);
       const int vict = std::max(a1.row, a2.row);
       sched.column_elims[k].push_back(Elim{surv, vict, ElimKind::TT});
@@ -68,7 +72,7 @@ GreedyQrSchedule greedy_qr_schedule(int p, int q) {
       double drained = ttqrt_end;
       for (int j = k + 1; j < q; ++j) {
         const double end =
-            std::max({ttqrt_end, tau[surv][j], tau[vict][j]}) + kTtmqr;
+            std::max({ttqrt_end, tau[surv][j], tau[vict][j]}) + w_ttmqr;
         tau[surv][j] = end;
         tau[vict][j] = end;
         drained = std::max(drained, end);

@@ -7,8 +7,8 @@
 // matrices (Sections IV.B-C).
 //
 // The schedule is computed by an event-driven ASAP simulation with
-// unbounded processors and Table-I weights (GEQRT 4, UNMQR 6, TTQRT 2,
-// TTMQR 6); only the resulting pairing order is kept — the actual critical
+// unbounded processors and Table-I weights (op_weight_units: GEQRT 4,
+// UNMQR 6, TTQRT 2, TTMQR 6); only the resulting pairing order is kept — the actual critical
 // path is recomputed exactly by the DAG analyzer from the emitted ops.
 #pragma once
 

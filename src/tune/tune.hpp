@@ -17,8 +17,8 @@
 //   - `TBSVD_TUNE_FILE=<path>` (or the default ~/.cache/tbsvd/tune.json)
 //     is loaded lazily on the first call to active(); from then on
 //     GesvdOptions::nb == 0 / Ge2bndOptions::ib == 0 resolve to the tuned
-//     values, execute_tile_ops seeds the Scheduler's priorities from
-//     weighted critical paths (cp_priorities under the measured OpCost),
+//     values, execute_tile_ops weights its critical-path (upward-rank)
+//     priorities by the measured OpCost instead of the Table-I units,
 //     DistSimParams::nb == 0 takes the tuned tile size, and the batched
 //     serving path derives its direct-SVD cutoff from the same table.
 //   - Benches accept `--tune-file PATH` so recorded runs share one

@@ -100,25 +100,39 @@ TEST(Bidiag, PrescribedSingularValuesRecovered) {
 
 TEST(Bidiag, ParallelMatchesSerialBitwise) {
   // The runtime enforces sequential consistency, so the reduced band must
-  // be bit-identical regardless of thread count.
-  const int nb = 8, p = 4, q = 4;
+  // be bit-identical regardless of thread count, whatever order the
+  // critical-path priorities pick among ready tasks. The op stream is
+  // built once per case (the Auto tree's shape depends on ncores).
+  const int nb = 8, p = 6, q = 4;
   Matrix A = generate_random(p * nb, q * nb, 55);
-  auto run = [&](int nthreads) {
-    TileMatrix t(p * nb, q * nb, nb);
-    t.from_dense(A.cview());
-    Ge2bndOptions opt;
-    opt.qr_tree = TreeKind::Greedy;
-    opt.lq_tree = TreeKind::Greedy;
-    opt.nthreads = nthreads;
-    opt.ib = 4;
-    ge2bnd(t, opt);
-    return t.to_dense();
-  };
-  Matrix serial = run(1);
-  Matrix parallel = run(2);
-  for (int j = 0; j < serial.cols(); ++j)
-    for (int i = 0; i < serial.rows(); ++i)
-      ASSERT_EQ(serial(i, j), parallel(i, j)) << "(" << i << "," << j << ")";
+  for (bool rbidiag : {false, true}) {
+    for (TreeKind tree : {TreeKind::FlatTS, TreeKind::FlatTT,
+                          TreeKind::Greedy, TreeKind::Auto}) {
+      AlgConfig cfg;
+      cfg.qr_tree = cfg.lq_tree = tree;
+      cfg.ncores = 4;
+      const auto ops = rbidiag ? build_rbidiag_ops(p, q, cfg)
+                               : build_bidiag_ops(p, q, cfg);
+      auto run = [&](int nthreads) {
+        TileMatrix t(p * nb, q * nb, nb);
+        t.from_dense(A.cview());
+        ExecOptions eo;
+        eo.ib = 4;
+        eo.nthreads = nthreads;
+        execute_tile_ops(t, ops, eo);
+        return t.to_dense();
+      };
+      const Matrix serial = run(1);
+      for (int nthreads : {2, 4}) {
+        const Matrix parallel = run(nthreads);
+        for (int j = 0; j < serial.cols(); ++j)
+          for (int i = 0; i < serial.rows(); ++i)
+            ASSERT_EQ(serial(i, j), parallel(i, j))
+                << tree_name(tree) << (rbidiag ? " R-BIDIAG " : " BIDIAG ")
+                << nthreads << " threads (" << i << "," << j << ")";
+      }
+    }
+  }
 }
 
 class HqrP

@@ -204,6 +204,59 @@ TEST(TaskGraph, ByKernelAggregation) {
   EXPECT_EQ(stats["beta"].count, 1);
 }
 
+// Hand-built DAGs as successor lists; ids are in topological order.
+std::vector<double> ranks_of(const std::vector<double>& weight,
+                             const std::vector<std::vector<int>>& succs) {
+  return upward_ranks(weight, [&succs](int i) -> const std::vector<int>& {
+    return succs[i];
+  });
+}
+
+TEST(UpwardRank, ChainAccumulatesToTheSource) {
+  // 0 -> 1 -> 2 with weights 4, 6, 2.
+  const auto r = ranks_of({4, 6, 2}, {{1}, {2}, {}});
+  EXPECT_EQ(r, (std::vector<double>{12, 8, 2}));
+  EXPECT_EQ(rank_priorities(r),
+            (std::vector<int>{1 << 20, (1 << 20) / 3 * 2, (1 << 20) / 6}));
+}
+
+TEST(UpwardRank, DiamondTakesTheHeavierBranch) {
+  // 0 -> {1, 2} -> 3 with weights 4, 6, 12, 2: the rank of 0 follows the
+  // weight-12 branch, and the heavier branch outranks the lighter one.
+  const auto r = ranks_of({4, 6, 12, 2}, {{1, 2}, {3}, {3}, {}});
+  EXPECT_EQ(r, (std::vector<double>{18, 8, 14, 2}));
+  const std::vector<int> prio = rank_priorities(r);
+  EXPECT_EQ(prio[0], 1 << 20);
+  EXPECT_GT(prio[2], prio[1]);
+  EXPECT_GT(prio[1], prio[3]);
+}
+
+TEST(UpwardRank, ZeroWeightTaskInheritsItsSuccessorsRank) {
+  // A zero-weight clean-up task (like R-BIDIAG's LASET) between 0 and 2
+  // adds nothing to the path; a zero-weight sink keeps rank 0.
+  const auto r = ranks_of({2, 0, 6, 0}, {{1}, {2}, {3}, {}});
+  EXPECT_EQ(r, (std::vector<double>{8, 6, 6, 0}));
+  const std::vector<int> prio = rank_priorities(r);
+  EXPECT_EQ(prio[1], prio[2]);
+  EXPECT_EQ(prio[3], 0);
+  EXPECT_EQ(rank_priorities({0, 0}), (std::vector<int>{0, 0}));
+}
+
+TEST(UpwardRank, TaskGraphRanksItsOwnSuccessors) {
+  // The diamond again, as a submitted graph: prioritize_by_rank must read
+  // the dependencies DepTracker derived, not the submission priorities.
+  TaskGraph g;
+  int a = 0, b = 0, c = 0;
+  g.submit("top", [] {}, {{&a, Access::Write}}, 7);
+  g.submit("left", [] {}, {{&a, Access::Read}, {&b, Access::Write}}, 7);
+  g.submit("right", [] {}, {{&a, Access::Read}, {&c, Access::Write}}, 7);
+  g.submit("sink", [] {}, {{&b, Access::Read}, {&c, Access::Read}}, 7);
+  g.prioritize_by_rank({4, 6, 12, 2});
+  const std::vector<int> want =
+      rank_priorities(std::vector<double>{18, 8, 14, 2});
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(g.priority(i), want[i]) << i;
+}
+
 TEST(TaskGraph, CannotRunTwice) {
   TaskGraph g;
   int x = 0;

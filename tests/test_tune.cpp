@@ -219,7 +219,7 @@ TEST_F(TuneEnv, ActiveCalibrationDrivesResolutionAndExplicitWins) {
   EXPECT_EQ(p.resolved_nb(), 160);
   const OpCost cost = tune::active_op_cost(sizeof(double));
   ASSERT_TRUE(static_cast<bool>(cost));
-  EXPECT_GT(cost(TileOp{Op::GEQRT, 0, -1, 0, -1, 0}), 0.0);
+  EXPECT_GT(cost(TileOp{Op::GEQRT, 0, -1, 0, -1}), 0.0);
 }
 
 TEST_F(TuneEnv, EnvPointedFileLoadsLazilyAndReArmsOnReset) {
@@ -267,7 +267,7 @@ TEST_F(TuneEnv, DefaultOptionsMatchHistoricalConstantsWithoutCalibration) {
 
 TEST_F(TuneEnv, TunedDefaultsProduceCorrectSpectrum) {
   // With an active calibration, the 0-sentinel defaults switch to tuned
-  // nb/ib and weighted CP priorities; the spectrum must not move.
+  // nb/ib and measured-weight CP priorities; the spectrum must not move.
   const Matrix A = test::random_matrix(96, 80, 12);
   const auto ref = gesvd_values(A.cview(), GesvdOptions{});
   tune::Calibration c = sample_calibration();
@@ -312,8 +312,20 @@ TEST_F(TuneEnv, PersistedWeightsReproduceInProcessCrossover) {
 TEST_F(TuneEnv, CpPrioritiesRankCriticalPathFirst) {
   AlgConfig cfg;
   const auto ops = build_bidiag_ops(4, 3, cfg);
-  const auto prio = tune::op_cost(sample_calibration(), sizeof(double));
-  const std::vector<int> ranks = cp_priorities(ops, prio);
+  const auto cost = tune::op_cost(sample_calibration(), sizeof(double));
+  // The executor's ranking: measured weights over the runtime's DAG.
+  std::vector<std::vector<int>> preds;
+  build_dag(ops, preds);
+  std::vector<std::vector<int>> succs(ops.size());
+  std::vector<double> weight(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    weight[i] = cost(ops[i]);
+    for (int p : preds[i]) succs[p].push_back(static_cast<int>(i));
+  }
+  const std::vector<int> ranks = rank_priorities(upward_ranks(
+      weight, [&succs](int i) -> const std::vector<int>& {
+        return succs[i];
+      }));
   ASSERT_EQ(ranks.size(), ops.size());
   // The first panel starts every chain, so it carries the maximal rank;
   // the final op ends one, so it carries the minimal positive rank.

@@ -4,8 +4,9 @@
 // direct-vs-tiled crossover, and persists the result as a versioned JSON
 // calibration file. Point TBSVD_TUNE_FILE at the output (or write to the
 // default ~/.cache/tbsvd/tune.json) and the library picks it up on first
-// use: tuned nb/ib defaults, measured CP-first scheduler priorities, the
-// tuned dist_sim tile and the batched direct cutoff.
+// use: tuned nb/ib defaults, CP-first scheduler priorities weighted by
+// measured kernel seconds instead of Table-I units, the tuned dist_sim
+// tile and the batched direct cutoff.
 //
 // Usage: tbsvd_tune [--smoke] [--out PATH] [--reps N] [--e2e N]
 //                   [--nbs a,b,...] [--ibs a,b,...] [--no-probe]
