@@ -4,18 +4,23 @@
 // so the float instantiation converges to float accuracy rather than
 // spinning toward double tolerances.
 //
-// Primary path: implicit QR iteration in the Demmel–Kahan style (shifted
-// Golub–Kahan sweeps, switching to the zero-shift sweep when the shift
-// would spoil relative accuracy) — the algorithm behind LAPACK xBDSQR,
-// which the paper uses for this stage. When the iteration exhausts its
-// budget on a submatrix the driver degrades gracefully: singular values
-// are invariant under the sweeps already applied, so the partially
-// iterated (d, e) is handed to the Sturm-bisection oracle
-// (band/sturm.hpp), which always terminates. The fallback is flagged in
-// Bd2valInfo; with allow_bisection_fallback = false a stall throws
-// convergence_error instead. Non-finite input throws
-// numerical_hazard_error up front (NaN never deflates, so iterating on it
-// would spin). Contract details: docs/ROBUSTNESS.md.
+// Primary path: the differential qd algorithm with shifts (dqds;
+// Fernando-Parlett 1994, Parlett-Marques 2000), ported from LAPACK
+// xLASQ1-xLASQ6. That is what LAPACK's xBDSQR runs when no singular
+// vectors are wanted, and it is the right algorithm for a values-only
+// solve: its inner loop has no square root and no rotation, and it finds
+// every singular value to high relative accuracy. The bidiagonal is scaled
+// so its largest entry is sqrt(eps/safmin) and squared into a qd array;
+// each transform reads one half of that array and writes the other, so a
+// rejected shift is retried from intact data.
+//
+// Fallback: when the transform budget runs out or dqds fails, the driver
+// hands the input (d, e) to the Sturm-bisection oracle (band/sturm.hpp),
+// which always terminates. The fallback is flagged in Bd2valInfo; with
+// allow_bisection_fallback = false it throws convergence_error instead.
+// Non-finite input throws numerical_hazard_error up front (NaN never
+// deflates, so iterating on it would spin). Contract details:
+// docs/ROBUSTNESS.md.
 #pragma once
 
 #include <vector>
@@ -26,9 +31,10 @@
 namespace tbsvd {
 
 struct Bd2valOptions {
-  /// QR iteration budget (LAPACK uses 6n^2). >= 0; 0 leaves only the fixed
-  /// slack budget, effectively forcing the bisection fallback on any
-  /// nontrivial matrix — useful for exercising the degraded path.
+  /// dqds transform budget: max_sweeps_per_value * n transforms plus a
+  /// small fixed slack (dqds needs 2-4 per value). >= 0; 0 leaves only the
+  /// slack, which forces the bisection fallback on any nontrivial matrix
+  /// — useful for exercising the degraded path.
   int max_sweeps_per_value = 30;
   bool allow_bisection_fallback = true;
 };
@@ -36,7 +42,9 @@ struct Bd2valOptions {
 /// Diagnostics for one bd2val solve.
 struct Bd2valInfo {
   Status status = Status::Ok;  ///< Ok, or Degraded when bisection ran
-  long long qr_iterations = 0;  ///< inner QR-iteration steps consumed
+  /// dqds transforms run, rejected shifts included (the name is kept so
+  /// callers compile unchanged).
+  long long qr_iterations = 0;
   bool bisection_fallback = false;
 };
 

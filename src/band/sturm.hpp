@@ -1,6 +1,7 @@
 // Bisection on the Golub-Kahan tridiagonal form: robust (if slower)
-// reference method for bidiagonal singular values, used as the bd2val
-// fallback and as an independent oracle in tests. Templated over the
+// reference method for bidiagonal singular values, used as the fallback
+// when bd2val's dqds runs out of budget or fails, and as an independent
+// oracle in tests. Templated over the
 // scalar type T in {float, double}; counts and bisection run in T
 // arithmetic with numeric_limits<T>-derived pivot floors.
 //

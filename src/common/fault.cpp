@@ -44,7 +44,7 @@ const std::vector<const char*>& all_sites() {
       "kernels.geqrt.poison_nan",    // NaN into R mid-factorization
       "lac.qr_rec.alloc_fail",       // workspace growth throws bad_alloc
       "band.bnd2bd.poison_nan",      // NaN into the bidiagonal output
-      "band.bd2val.force_stall",     // QR iteration reports non-convergence
+      "band.bd2val.force_stall",     // dqds skipped as if out of budget
       "runtime.scheduler.task_fail", // a scheduled task throws
       "batched.problem_poison",      // one problem of a batch fails typed
       "tune.load_poison",            // calibration file parse fails typed

@@ -12,8 +12,8 @@
 // (tests/test_fault_injection.cpp) iterates it and asserts every fault
 // yields success, a flagged degraded result, or a typed error — never
 // silent garbage. What each site injects is decided at the call site
-// (poison a tile with NaN, throw bad_alloc at a workspace growth, force a
-// QR-iteration stall, fail a scheduled task). See docs/ROBUSTNESS.md.
+// (poison a tile with NaN, throw bad_alloc at a workspace growth, skip
+// dqds as if out of budget, fail a scheduled task). See docs/ROBUSTNESS.md.
 #pragma once
 
 #include <atomic>

@@ -90,7 +90,8 @@ class SafeScaling {
 
   /// svt in double, unscaled when scale() scales. A non-null info receives
   /// the scaling (scaled, scale_from, scale_to) and bi's status,
-  /// qr_iterations and bisection_fallback; its other fields are untouched.
+  /// qr_iterations (dqds transforms) and bisection_fallback; its other
+  /// fields are untouched.
   [[nodiscard]] std::vector<double> finish(const std::vector<T>& svt,
                                            const Bd2valInfo& bi,
                                            SvdInfo* info) const;

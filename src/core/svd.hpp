@@ -1,6 +1,6 @@
 // GE2VAL: singular values of a general dense matrix via the paper's
 // pipeline GE2BND (tiled, parallel) + BND2BD (bulge chasing) + BD2VAL
-// (bidiagonal QR iteration). Templated over the scalar type T in {float,
+// (dqds on the bidiagonal). Templated over the scalar type T in {float,
 // double}; singular values are always returned in double (float results
 // embed exactly), while every pipeline stage runs in T arithmetic.
 //
@@ -9,8 +9,8 @@
 // throws numerical_hazard_error; a max-norm outside the per-precision safe
 // range [svd_safe_min<T>(), svd_safe_max<T>()] is scaled into it before
 // the reduction (LAPACK dgesvd/dlascl protocol) and the singular values
-// are unscaled on exit, flagged in SvdInfo. A
-// QR-iteration stall in BD2VAL degrades to Sturm bisection
+// are unscaled on exit, flagged in SvdInfo. When dqds in BD2VAL runs out
+// of its transform budget or fails, the solve degrades to Sturm bisection
 // (Status::Degraded) instead of failing.
 #pragma once
 
@@ -51,7 +51,7 @@ struct SvdInfo {
   bool scaled = false;       ///< safe pre-scaling was applied
   double scale_from = 0.0;   ///< input max-norm (valid when scaled)
   double scale_to = 0.0;     ///< safe-range target norm (valid when scaled)
-  long long qr_iterations = 0;   ///< BD2VAL inner QR-iteration steps
+  long long qr_iterations = 0;   ///< BD2VAL dqds transforms (rejected included)
   bool bisection_fallback = false;  ///< BD2VAL degraded to Sturm bisection
   std::size_t ge2bnd_tasks = 0;
 

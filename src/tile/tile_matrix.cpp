@@ -18,14 +18,21 @@ TileMatrixT<T>::TileMatrixT(int m, int n, int nb)
 
 template <class T>
 void TileMatrixT<T>::from_dense(ConstMatrixViewT<T> A) {
-  TBSVD_CHECK(A.m == m_ && A.n == n_, "from_dense shape mismatch");
+  TBSVD_CHECK(A.m <= m_ && A.n <= n_, "from_dense: A larger than the tiles");
+  // One memcpy per tile column segment; rows and columns past A are zeroed.
   for (int tj = 0; tj < nt_; ++tj) {
     for (int ti = 0; ti < mt_; ++ti) {
       MatrixViewT<T> t = tile(ti, tj);
-      ConstMatrixViewT<T> s = A.block(ti * nb_, tj * nb_, nb_, nb_);
+      const int r0 = ti * nb_;
+      const int rows = std::clamp(A.m - r0, 0, nb_);
       for (int j = 0; j < nb_; ++j) {
-        std::memcpy(t.col(j), s.col(j),
-                    static_cast<std::size_t>(nb_) * sizeof(T));
+        const int c = tj * nb_ + j;
+        const int len = c < A.n ? rows : 0;
+        if (len > 0) {
+          std::memcpy(t.col(j), A.col(c) + r0,
+                      static_cast<std::size_t>(len) * sizeof(T));
+        }
+        std::fill(t.col(j) + len, t.col(j) + nb_, T(0));
       }
     }
   }
@@ -58,10 +65,7 @@ TileMatrixT<T> tile_from_dense_padded(ConstMatrixViewT<T> A, int nb) {
   const int mp = pad_to_tiles(A.m, nb);
   const int np = pad_to_tiles(A.n, nb);
   TileMatrixT<T> Tt(mp, np, nb);
-  // Copy element-wise through at(); padding stays zero.
-  for (int j = 0; j < A.n; ++j) {
-    for (int i = 0; i < A.m; ++i) Tt.at(i, j) = A(i, j);
-  }
+  Tt.from_dense(A);
   return Tt;
 }
 

@@ -60,7 +60,8 @@ class TileMatrixT {
 
   void set_zero() noexcept { std::fill(buf_.begin(), buf_.end(), T(0)); }
 
-  /// Copy from a dense column-major view of matching element dimensions.
+  /// Copy from a dense column-major view no larger than the matrix; the
+  /// elements past A's rows and columns are set to zero.
   void from_dense(ConstMatrixViewT<T> A);
   /// Copy out to a dense column-major view of matching element dimensions.
   void to_dense(MatrixViewT<T> A) const;

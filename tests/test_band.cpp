@@ -1,10 +1,13 @@
 // Band stage validation: band storage and its dense views, the BND2BD
 // Householder bulge chase in float and double (singular values preserved
 // vs the Jacobi oracle, over ragged, wide, narrow, zero and graded bands),
-// BD2VAL QR iteration vs Sturm bisection vs Jacobi.
+// BD2VAL (dqds) vs Sturm bisection vs Jacobi, and BD2VAL's relative-accuracy
+// tier in float and double.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <type_traits>
 
@@ -253,6 +256,151 @@ TEST(Bd2val, HugeDynamicRange) {
   auto qr = bd2val(d, e);
   EXPECT_GT(qr[0], 9e149);
   ASSERT_EQ(qr.size(), 3u);
+}
+
+// ------------------------------------------------ relative accuracy ---
+// dqds finds every singular value of a bidiagonal to high relative
+// accuracy, so this tier bounds |sigma_i - ref_i| by k * n * eps_T *
+// ref_i rather than by sigma_max. The oracle is one-sided Jacobi in
+// double, which is itself relatively accurate on column-graded B' * D
+// with a well-conditioned B' (zero diagonals, where it is not, are in
+// test_sturm.cpp against a relative bisection oracle).
+
+template <class T>
+class Bd2valRelative : public ::testing::Test {};
+TYPED_TEST_SUITE(Bd2valRelative, ScalarTypes);
+
+// Per-value relative bound of the tier, in units of n * eps_T.
+constexpr double kRelK = 4.0;
+
+template <class T>
+std::vector<double> jacobi_of_bidiagonal(const std::vector<T>& d,
+                                         const std::vector<T>& e) {
+  const int n = static_cast<int>(d.size());
+  MatrixT<T> B(n, n);
+  for (int i = 0; i < n; ++i) B(i, i) = d[i];
+  for (int i = 0; i + 1 < n; ++i) B(i, i + 1) = e[i];
+  return jacobi_singular_values<T>(B.cview());
+}
+
+// B = B' * D with d' = 1, e' = 0.5 and D = diag(10^(-decades * j / (n-1)))
+// (reversed when ascending): singular values spread over `decades`
+// decades, each determined to full relative accuracy by the entries.
+template <class T>
+void graded_columns(int n, double decades, bool ascending, std::vector<T>& d,
+                    std::vector<T>& e) {
+  d.assign(n, T(0));
+  e.assign(std::max(0, n - 1), T(0));
+  for (int j = 0; j < n; ++j) {
+    const int k = ascending ? n - 1 - j : j;
+    const T dj =
+        static_cast<T>(std::pow(10.0, -decades * k / std::max(1, n - 1)));
+    d[j] = dj;
+    if (j > 0) e[j - 1] = T(0.5) * dj;
+  }
+}
+
+template <class T>
+constexpr double graded_decades() {
+  return std::is_same_v<T, float> ? 5.0 : 12.0;
+}
+
+TYPED_TEST(Bd2valRelative, GradedColumnsMatchJacobi) {
+  using T = TypeParam;
+  for (int n : {2, 3, 16, 40, 96}) {
+    for (bool ascending : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " ascending "
+                                      << ascending);
+      std::vector<T> d, e;
+      graded_columns<T>(n, graded_decades<T>(), ascending, d, e);
+      const auto ref = jacobi_of_bidiagonal(d, e);
+      EXPECT_LT(ref.back(), 1e-4 * ref.front());  // really graded
+      test::expect_relative_sv(bd2val<T>(d, e), ref, kRelK);
+    }
+  }
+}
+
+// The top q is far smaller than the bottom one (1.5 q[lo] < q[hi]), so
+// dqds reverses the array before it starts; the signs of the entries do
+// not matter.
+TYPED_TEST(Bd2valRelative, ReversedBlockMatchesJacobi) {
+  using T = TypeParam;
+  const int n = 24;
+  std::vector<T> d(n), e(n - 1);
+  for (int i = 0; i < n; ++i) {
+    d[i] = static_cast<T>((i % 2 ? -1.0 : 1.0) * std::pow(2.0, i - n + 1));
+  }
+  for (int i = 0; i + 1 < n; ++i) e[i] = d[i + 1] / T(3);
+  ASSERT_LT(T(1.5) * d[0] * d[0], d[n - 1] * d[n - 1]);
+  test::expect_relative_sv(bd2val<T>(d, e), jacobi_of_bidiagonal(d, e), kRelK);
+}
+
+TYPED_TEST(Bd2valRelative, RandomSmallSizesMatchJacobi) {
+  using T = TypeParam;
+  for (int n : {1, 2, 3, 4, 7, 33}) {
+    SCOPED_TRACE(testing::Message() << "n " << n);
+    Rng rng(5100 + n);
+    std::vector<T> d(n), e(std::max(0, n - 1));
+    for (auto& v : d) v = static_cast<T>(rng.normal());
+    for (auto& v : e) v = static_cast<T>(rng.normal());
+    test::expect_relative_sv(bd2val<T>(d, e), jacobi_of_bidiagonal(d, e),
+                             kRelK);
+  }
+}
+
+// An exact zero e splits the bidiagonal: the spectrum is the union of the
+// two blocks' spectra, which dqds finds block by block.
+TYPED_TEST(Bd2valRelative, ZeroInteriorESplits) {
+  using T = TypeParam;
+  const int n = 30, cut = 11;
+  std::vector<T> d, e;
+  graded_columns<T>(n, graded_decades<T>(), false, d, e);
+  e[cut - 1] = T(0);
+  const std::vector<T> top_d(d.begin(), d.begin() + cut);
+  const std::vector<T> top_e(e.begin(), e.begin() + cut - 1);
+  const std::vector<T> bot_d(d.begin() + cut, d.end());
+  const std::vector<T> bot_e(e.begin() + cut, e.end());
+  std::vector<double> halves;
+  for (T v : bd2val<T>(top_d, top_e)) halves.push_back(v);
+  for (T v : bd2val<T>(bot_d, bot_e)) halves.push_back(v);
+  std::sort(halves.begin(), halves.end(), std::greater<>());
+  const auto whole = bd2val<T>(d, e);
+  test::expect_relative_sv(whole, halves, 1.0);
+  test::expect_relative_sv(whole, jacobi_of_bidiagonal(d, e), kRelK);
+}
+
+TYPED_TEST(Bd2valRelative, ClusteredValuesMatchJacobi) {
+  using T = TypeParam;
+  const int n = 40;
+  Rng rng(6161);
+  std::vector<T> d(n), e(n - 1);
+  for (auto& v : d) v = static_cast<T>(1.0 + 1e-3 * rng.uniform(-1.0, 1.0));
+  for (auto& v : e) v = static_cast<T>(1e-4 * rng.uniform(-1.0, 1.0));
+  test::expect_relative_sv(bd2val<T>(d, e), jacobi_of_bidiagonal(d, e), kRelK);
+}
+
+// float dqds against double dqds on the same (float) input: both are
+// relatively accurate, so they agree to float's relative bound on every
+// value, however small.
+TEST(Bd2valRelativeF32, FloatMatchesDouble) {
+  for (int n : {3, 17, 64, 150}) {
+    for (int graded = 0; graded < 2; ++graded) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " graded " << graded);
+      std::vector<float> d, e;
+      if (graded) {
+        graded_columns<float>(n, 5.0, n % 2 == 1, d, e);
+      } else {
+        Rng rng(6262 + n);
+        d.resize(n);
+        e.resize(n - 1);
+        for (auto& v : d) v = static_cast<float>(rng.normal());
+        for (auto& v : e) v = static_cast<float>(rng.normal());
+      }
+      const std::vector<double> dd(d.begin(), d.end()), ed(e.begin(), e.end());
+      test::expect_relative_sv(bd2val<float>(d, e), bd2val<double>(dd, ed),
+                               kRelK);
+    }
+  }
 }
 
 TEST(Sturm, CountIsMonotonic) {

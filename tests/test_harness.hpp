@@ -201,6 +201,25 @@ void expect_matrix_near(ConstMatrixViewT<T> got, ConstMatrixViewT<T> want,
           << what << " at (" << i << "," << j << ")";
 }
 
+/// Singular values (both descending) at a per-value relative bound:
+/// |got_i - ref_i| <= k * n * eps_T * ref_i. Reference values at or below
+/// k * n * eps_T * ref_0 are zeros up to the oracle's noise and are
+/// checked against that bound absolutely.
+template <class T>
+void expect_relative_sv(const std::vector<T>& got,
+                        const std::vector<double>& ref, double k) {
+  ASSERT_EQ(got.size(), ref.size());
+  if (ref.empty()) return;
+  const double rel = k * static_cast<double>(ref.size()) *
+                     static_cast<double>(std::numeric_limits<T>::epsilon());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const double g = static_cast<double>(got[i]);
+    const double scale = ref[i] > rel * ref[0] ? ref[i] : ref[0];
+    EXPECT_LE(std::fabs(g - ref[i]), rel * scale)
+        << "sv " << i << ": " << g << " vs " << ref[i];
+  }
+}
+
 // ---------------------------------------------------------- WY invariants ---
 //
 // Direct validation of a factor kernel's compact-WY output, shared by all

@@ -467,7 +467,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, PanelRobustness,
 
 // ---------------------------------------------------------- e2e spectrum ---
 
-// ge2bnd -> band extraction -> bulge-chasing -> bidiagonal QR iteration:
+// ge2bnd -> band extraction -> bulge-chasing -> dqds on the bidiagonal:
 // the full value pipeline must recover prescribed singular values to
 // O(eps ||A||). This is the one test that ties the factorization layers
 // (with the recursive panels on the hot path) to the spectrum.

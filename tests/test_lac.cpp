@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "lac/blas.hpp"
 #include "lac/dense.hpp"
-#include "lac/givens.hpp"
 #include "lac/householder.hpp"
 #include "lac/jacobi_svd.hpp"
 #include "lac/qr_ref.hpp"
@@ -365,35 +364,6 @@ TEST(JacobiSvd, OrthogonalInvariance) {
   Matrix QA = mul(Q.cview(), A.cview());
   auto sv1 = jacobi_singular_values(QA.cview());
   for (int i = 0; i < n; ++i) EXPECT_NEAR(sv0[i], sv1[i], 1e-11);
-}
-
-TEST(Givens, LartgBasics) {
-  auto g = lartg(3.0, 4.0);
-  EXPECT_NEAR(g.c * g.c + g.s * g.s, 1.0, 1e-15);
-  EXPECT_NEAR(g.c * 3.0 + g.s * 4.0, g.r, 1e-15);
-  EXPECT_NEAR(-g.s * 3.0 + g.c * 4.0, 0.0, 1e-15);
-  auto gz = lartg(5.0, 0.0);
-  EXPECT_EQ(gz.c, 1.0);
-  EXPECT_EQ(gz.s, 0.0);
-  auto gf = lartg(0.0, 2.0);
-  EXPECT_EQ(gf.c, 0.0);
-  EXPECT_EQ(gf.s, 1.0);
-}
-
-TEST(Givens, RotPreservesNorm) {
-  Rng rng(101);
-  std::vector<double> x(16), y(16);
-  for (int i = 0; i < 16; ++i) {
-    x[i] = rng.normal();
-    y[i] = rng.normal();
-  }
-  const double before =
-      dot(16, x.data(), 1, x.data(), 1) + dot(16, y.data(), 1, y.data(), 1);
-  auto g = lartg(1.3, -0.4);
-  rot(16, x.data(), 1, y.data(), 1, g.c, g.s);
-  const double after =
-      dot(16, x.data(), 1, x.data(), 1) + dot(16, y.data(), 1, y.data(), 1);
-  EXPECT_NEAR(before, after, 1e-12 * before);
 }
 
 }  // namespace

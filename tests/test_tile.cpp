@@ -59,6 +59,27 @@ TEST(TileMatrix, PaddedConstructionKeepsValuesAndZeros) {
     for (int j = 0; j < T.cols(); ++j) EXPECT_EQ(T.at(i, j), 0.0);
 }
 
+// from_dense is the one copy routine behind tile_from_dense_padded: a
+// smaller A lands in the leading rows and columns of a reused (dirty)
+// TileMatrix, bitwise, and everything past it is zeroed; a larger A is
+// rejected.
+TEST(TileMatrix, FromDenseOfSmallerViewZeroesThePadding) {
+  const int m = 13, n = 9, nb = 4;
+  MatrixT<float> A(m, n);
+  Rng rng(17);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < m; ++i) A(i, j) = static_cast<float>(rng.normal());
+  TileMatrixT<float> T(16, 12, nb);
+  for (int j = 0; j < T.cols(); ++j)
+    for (int i = 0; i < T.rows(); ++i) T.at(i, j) = 7.0f;
+  T.from_dense(A.cview());
+  for (int j = 0; j < T.cols(); ++j)
+    for (int i = 0; i < T.rows(); ++i)
+      EXPECT_EQ(T.at(i, j), i < m && j < n ? A(i, j) : 0.0f) << i << "," << j;
+  MatrixT<float> big(17, 9);
+  EXPECT_THROW(T.from_dense(big.cview()), invalid_argument_error);
+}
+
 TEST(Distribution, BlockCyclicOwnership) {
   Distribution d(2, 3);
   EXPECT_EQ(d.nodes(), 6);
