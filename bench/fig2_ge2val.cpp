@@ -7,11 +7,14 @@
 //   scalapack*— blocked GEBRD, nb = 48, serial  (paper: ScaLAPACK)
 //   elemental*— Chan preQR switch (recursive-panel QR) + GEBRD
 //                                               (paper: Elemental)
-// Recorded ordering (bench/history/37800fb, 4 threads, nb = 64, f64 and
-// f32): on squares of 256/512/768 the two tiled two-stage codes lead the
-// one-stage stand-ins by 1.3-2.6x, with plasma* level with or ahead of
-// tbsvd; on tall-and-skinny the one-stage GEBRD codes flatline near
-// 3-5 GFlop/s while tbsvd, plasma* and elemental* keep scaling with M.
+// Recorded ordering (bench/history/16a6cfb, 4 threads, nb = 64, f64 and
+// f32, one run per point): on squares of 256/512/768 the two tiled
+// two-stage codes lead the one-stage stand-ins by 1.4-3.2x, with plasma*
+// level with or ahead of tbsvd except at 256 in f64 (tbsvd 5.0 against
+// 3.7 GFlop/s); on tall-and-skinny the one-stage GEBRD codes flatline at
+// 2.6-5.5 GFlop/s while tbsvd, plasma* and elemental* keep scaling with M,
+// except that plasma* and elemental* are flat from M = 1024 to 2048 at
+// N = 128 in f32.
 //
 // --dtype selects the working precision of every driver: f64 (default) or
 // f32. f32 series carry a _f32 suffix so the history tier tracks each
