@@ -32,7 +32,8 @@ namespace tbsvd {
 
 struct Bd2valOptions {
   /// dqds transform budget: max_sweeps_per_value * n transforms plus a
-  /// small fixed slack (dqds needs 2-4 per value). >= 0; 0 leaves only the
+  /// small fixed slack (dqds takes about 4 per value on typical input,
+  /// more on spectra spanning many decades). >= 0; 0 leaves only the
   /// slack, which forces the bisection fallback on any nontrivial matrix
   /// — useful for exercising the degraded path.
   int max_sweeps_per_value = 30;
