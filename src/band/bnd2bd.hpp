@@ -25,13 +25,37 @@
 // BandMatrixT::view (ld = ldab - 1), so the lac larfg / larf_left /
 // larf_right routines run on it unchanged.
 //
-// Dependencies. With c the column of step (s, k), the step's blocks span
-// rows c-b+1 .. c+b-1 and columns c .. c+2b-1. They overlap the blocks of
-// step (s-1, k+1) and share entry (c+b-1, c+2b-1) with the right
-// reflector of step (s-1, k+2); nothing later in sweep s-1 is touched. So
-// (s, k) must follow (s-1, k+2): sweeps could pipeline three steps apart,
-// which caps the concurrency near n / (3b) (about 4 at n = 768, b = 64).
-// This implementation runs the sweeps serially.
+// Dependencies. With c the column of step (s, k), the right half's block
+// spans rows c-b .. c+b-1 and columns c .. c+b-1; the left half's spans
+// rows c .. c+b-1 and columns c .. c+2b-1. Against sweep s-1, whose step
+// k+j sits at column c-1+jb:
+//   - the right half of (s, k) shares entry (c+b-1, c+b-1) with the left
+//     half of (s-1, k+1) and nothing with (s-1, k+2), so it needs all of
+//     (s-1, k+1) done;
+//   - the left half of (s, k) shares entry (c+b-1, c+2b-1) with the right
+//     half of (s-1, k+2) and nothing with its left half, so it needs only
+//     that right half done.
+// Counting halves h = 0, 1, 2, ... along a sweep (2k right, 2k+1 left),
+// both rules read the same: half h of sweep s waits until sweep s-1 has
+// completed h + 4 halves. Earlier sweeps are further ahead still, so
+// nothing else is shared.
+//
+// Parallel schedule. P workers (the calling thread and P-1 spawned ones)
+// claim sweeps in increasing order, so in steady state worker t runs
+// sweeps t, t+P, t+2P, ... Each sweep publishes its completed-half count
+// in an atomic (release after each half; kDone when the sweep ends), and
+// each half acquire-spins on the previous sweep's count before it starts
+// (pause, then yield). Every entry is updated by the same operations in
+// the same order as in the serial chase, so the result is bitwise
+// identical for every P. Sweeps trail each other by two steps instead of
+// the three that whole-step dependencies would impose; costing each half
+// by its block area, the ideal speed-up at n = 768, b = 64 is 2.9 on four
+// workers (2.2 under whole-step dependencies). Every hand-off moves the
+// block between cores, and with two workers that traffic ate the gain
+// (512 x 512, b = 64), so P = min(nthreads, floor(n / (3b))) and the
+// chase runs on the calling thread alone (P = 1, the same loop) when that
+// is below 3: at 768 x 768 with b = 64, P = 4 at nthreads >= 4; at
+// n = 256, b = 64, the chase is serial.
 #pragma once
 
 #include <vector>
@@ -52,8 +76,9 @@ using Bidiagonal = BidiagonalT<double>;
 /// Reduce B (kl = 0, any ku >= 0) to upper bidiagonal form by orthogonal
 /// two-sided transformations, so the singular values are preserved. B is
 /// copied into working storage with bulge slots and left unchanged.
-/// O(n^2 ku) flops.
+/// O(n^2 ku) flops. nthreads (>= 1) bounds the sweep pipeline's workers
+/// (see the header comment for the rule); the result does not depend on it.
 template <class T>
-BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B);
+BidiagonalT<T> bnd2bd(const BandMatrixT<T>& B, int nthreads = 1);
 
 }  // namespace tbsvd

@@ -16,7 +16,6 @@ void gebd2(MatrixViewT<T> A, std::vector<T>& d, std::vector<T>& e) {
   TBSVD_CHECK(m >= n, "gebd2 requires m >= n");
   d.assign(n, T(0));
   e.assign(std::max(0, n - 1), T(0));
-  std::vector<T> work(std::max(m, n));
 
   for (int j = 0; j < n; ++j) {
     // Column reflector annihilating A(j+1:m, j).
@@ -27,8 +26,7 @@ void gebd2(MatrixViewT<T> A, std::vector<T>& d, std::vector<T>& e) {
       if (tauq != T(0)) {
         const T ajj = A(j, j);
         A(j, j) = T(1);
-        larf_left<T>(tauq, &A(j, j), 1, A.block(j, j + 1, m - j, n - j - 1),
-                     work.data());
+        larf_left<T>(tauq, &A(j, j), 1, A.block(j, j + 1, m - j, n - j - 1));
         A(j, j) = ajj;
       }
       // Row reflector annihilating A(j, j+2:n).
@@ -40,8 +38,7 @@ void gebd2(MatrixViewT<T> A, std::vector<T>& d, std::vector<T>& e) {
         const T ajj1 = A(j, j + 1);
         A(j, j + 1) = T(1);
         larf_right<T>(taup, &A(j, j + 1), A.ld,
-                      A.block(j + 1, j + 1, m - j - 1, n - j - 1),
-                      work.data());
+                      A.block(j + 1, j + 1, m - j - 1, n - j - 1));
         A(j, j + 1) = ajj1;
       }
     }

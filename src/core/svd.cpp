@@ -58,7 +58,7 @@ std::vector<double> gesvd_values(ConstMatrixViewT<T> A,
   const double t1 = timer.seconds();
 
   BandMatrixT<T> band = band_from_tiles<T>(tiles);
-  BidiagonalT<T> bd = bnd2bd<T>(band);
+  BidiagonalT<T> bd = bnd2bd<T>(band, opts.ge2bnd.nthreads);
   const double t2 = timer.seconds();
 
   Bd2valInfo bi;

@@ -24,6 +24,8 @@
 namespace tbsvd {
 
 struct GesvdOptions {
+  /// GE2BND's options; ge2bnd.nthreads also bounds BND2BD's sweep
+  /// pipeline (band/bnd2bd.hpp), whose result does not depend on it.
   Ge2bndOptions ge2bnd;
   /// Tile size used when tiling a dense input; 0 resolves to the active
   /// calibration's tuned nb (capped near the problem size so small inputs

@@ -198,6 +198,31 @@ struct Nrm2Range<float> {
   static constexpr float hi = 1e17f;
 };
 
+// Sum of squares of a strided vector on four accumulator chains, with the
+// largest magnitude seen returned through amax (nrm2's fast path).
+template <class T>
+inline T nrm2_sumsq(int n, const T* x, int incx, T& amax) noexcept {
+  T s0 = T(0), s1 = T(0), s2 = T(0), s3 = T(0);
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const T x0 = x[i * incx], x1 = x[(i + 1) * incx];
+    const T x2 = x[(i + 2) * incx], x3 = x[(i + 3) * incx];
+    s0 += x0 * x0;
+    s1 += x1 * x1;
+    s2 += x2 * x2;
+    s3 += x3 * x3;
+    amax = std::max(amax, std::max(std::max(std::fabs(x0), std::fabs(x1)),
+                                   std::max(std::fabs(x2), std::fabs(x3))));
+  }
+  T s = (s0 + s1) + (s2 + s3);
+  for (; i < n; ++i) {
+    const T xi = x[i * incx];
+    s += xi * xi;
+    amax = std::max(amax, std::fabs(xi));
+  }
+  return s;
+}
+
 }  // namespace
 
 template <class T>
@@ -348,33 +373,19 @@ T nrm2(int n, const T* x, int incx) noexcept {
   // Fast path: plain sum of squares with independent accumulator chains,
   // valid whenever the result neither overflows nor loses bits to
   // underflow. Checked against the extremes of the accumulated squares so
-  // the guard itself is branch-free inside the loop.
-  if (incx == 1) {
-    T s0 = T(0), s1 = T(0), s2 = T(0), s3 = T(0);
-    T amax = T(0);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const T x0 = x[i], x1 = x[i + 1], x2 = x[i + 2], x3 = x[i + 3];
-      s0 += x0 * x0;
-      s1 += x1 * x1;
-      s2 += x2 * x2;
-      s3 += x3 * x3;
-      amax = std::max(amax, std::max(std::max(std::fabs(x0), std::fabs(x1)),
-                                     std::max(std::fabs(x2), std::fabs(x3))));
-    }
-    T s = (s0 + s1) + (s2 + s3);
-    for (; i < n; ++i) {
-      s += x[i] * x[i];
-      amax = std::max(amax, std::fabs(x[i]));
-    }
-    // Safe range: squares stay normal and the sum far from overflow.
-    if (amax > Nrm2Range<T>::lo && amax < Nrm2Range<T>::hi)
-      return std::sqrt(s);
-    // amax == 0 means every entry was (+/-)0 or NaN (NaN never wins a
-    // std::max); sqrt(s) is then 0 or NaN respectively — propagating NaN
-    // exactly like the scaled reference loop below.
-    if (amax == T(0)) return std::sqrt(s);
-  }
+  // the guard itself is branch-free inside the loop. The contiguous case
+  // gets its own instantiation of the loop (a compile-time stride
+  // vectorizes); a strided vector runs the same chains in the same order,
+  // so its result is bitwise the contiguous one.
+  T amax = T(0);
+  const T s = (incx == 1) ? nrm2_sumsq<T>(n, x, 1, amax)
+                          : nrm2_sumsq<T>(n, x, incx, amax);
+  // Safe range: squares stay normal and the sum far from overflow.
+  if (amax > Nrm2Range<T>::lo && amax < Nrm2Range<T>::hi) return std::sqrt(s);
+  // amax == 0 means every entry was (+/-)0 or NaN (NaN never wins a
+  // std::max); sqrt(s) is then 0 or NaN respectively — propagating NaN
+  // exactly like the scaled reference loop below.
+  if (amax == T(0)) return std::sqrt(s);
   // Scaled accumulation (as in reference BLAS) to avoid overflow/underflow.
   T scale = T(0), ssq = T(1);
   for (int i = 0; i < n; ++i) {

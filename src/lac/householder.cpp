@@ -1,5 +1,6 @@
 #include "lac/householder.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -40,25 +41,15 @@ T larfg(int n, T& alpha, T* x, int incx) noexcept {
 }
 
 template <class T>
-void larf_left(T tau, const T* v, int incv, MatrixViewT<T> C, T* work) {
+void larf_left(T tau, const T* v, int incv, MatrixViewT<T> C) {
   if (tau == T(0)) return;
   const int m = C.m, n = C.n;
-  // work := C^T v
+  // One pass per column: its dot with v (dot()'s multi-chain reduction)
+  // and the axpy that follows both run while the column sits in L1.
   for (int j = 0; j < n; ++j) {
-    const T* cj = C.col(j);
-    T s = T(0);
-    if (incv == 1) {
-      for (int i = 0; i < m; ++i) s += cj[i] * v[i];
-    } else {
-      for (int i = 0; i < m; ++i) s += cj[i] * v[i * incv];
-    }
-    work[j] = s;
-  }
-  // C -= tau * v * work^T
-  for (int j = 0; j < n; ++j) {
-    const T twj = tau * work[j];
-    if (twj == T(0)) continue;
     T* cj = C.col(j);
+    const T twj = tau * dot<T>(m, cj, 1, v, incv);
+    if (twj == T(0)) continue;
     if (incv == 1) {
       for (int i = 0; i < m; ++i) cj[i] -= twj * v[i];
     } else {
@@ -68,23 +59,27 @@ void larf_left(T tau, const T* v, int incv, MatrixViewT<T> C, T* work) {
 }
 
 template <class T>
-void larf_right(T tau, const T* v, int incv, MatrixViewT<T> C, T* work) {
+void larf_right(T tau, const T* v, int incv, MatrixViewT<T> C) {
   if (tau == T(0)) return;
   const int m = C.m, n = C.n;
-  // work := C v
-  for (int i = 0; i < m; ++i) work[i] = T(0);
-  for (int j = 0; j < n; ++j) {
-    const T vj = v[j * incv];
-    if (vj == T(0)) continue;
-    const T* cj = C.col(j);
-    for (int i = 0; i < m; ++i) work[i] += vj * cj[i];
-  }
-  // C -= tau * work * v^T
-  for (int j = 0; j < n; ++j) {
-    const T tvj = tau * v[j * incv];
-    if (tvj == T(0)) continue;
-    T* cj = C.col(j);
-    for (int i = 0; i < m; ++i) cj[i] -= tvj * work[i];
+  // Row slabs small enough that w := C v and C -= tau w v^T both read the
+  // slab from L1; each row's arithmetic is the same as one full-height pass.
+  constexpr int kSlab = 32;
+  for (int i0 = 0; i0 < m; i0 += kSlab) {
+    const int mb = std::min(kSlab, m - i0);
+    T w[kSlab] = {};
+    for (int j = 0; j < n; ++j) {
+      const T vj = v[j * incv];
+      if (vj == T(0)) continue;
+      const T* cj = C.col(j) + i0;
+      for (int i = 0; i < mb; ++i) w[i] += vj * cj[i];
+    }
+    for (int j = 0; j < n; ++j) {
+      const T tvj = tau * v[j * incv];
+      if (tvj == T(0)) continue;
+      T* cj = C.col(j) + i0;
+      for (int i = 0; i < mb; ++i) cj[i] -= tvj * w[i];
+    }
   }
 }
 
@@ -327,8 +322,8 @@ void larfb_tt(Side side, Trans trans, ConstMatrixViewT<T> V,
 
 #define TBSVD_INSTANTIATE_HOUSEHOLDER(T)                                     \
   template T larfg<T>(int, T&, T*, int) noexcept;                            \
-  template void larf_left<T>(T, const T*, int, MatrixViewT<T>, T*);          \
-  template void larf_right<T>(T, const T*, int, MatrixViewT<T>, T*);         \
+  template void larf_left<T>(T, const T*, int, MatrixViewT<T>);             \
+  template void larf_right<T>(T, const T*, int, MatrixViewT<T>);            \
   template void larft<T>(ConstMatrixViewT<T>, const T*, MatrixViewT<T>);     \
   template void larfb<T>(Side, Trans, ConstMatrixViewT<T>,                   \
                          ConstMatrixViewT<T>, MatrixViewT<T>, MatrixT<T>&);  \

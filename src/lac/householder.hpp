@@ -21,12 +21,17 @@ template <class T>
 T larfg(int n, T& alpha, T* x, int incx) noexcept;
 
 /// C := (I - tau v v^T) C. v has length C.m with v[0] == 1 stored by caller.
+/// Single pass: each column's dot with v and its update run back to back,
+/// so no workspace is needed.
 template <class T>
-void larf_left(T tau, const T* v, int incv, MatrixViewT<T> C, T* work);
+void larf_left(T tau, const T* v, int incv, MatrixViewT<T> C);
 
 /// C := C (I - tau v v^T). v has length C.n with v[0] == 1 stored by caller.
+/// Runs over 32-row slabs of C (w := C v, then C -= tau w v^T per slab) with
+/// an on-stack w, so no workspace is needed; each entry's arithmetic does not
+/// depend on the slab height.
 template <class T>
-void larf_right(T tau, const T* v, int incv, MatrixViewT<T> C, T* work);
+void larf_right(T tau, const T* v, int incv, MatrixViewT<T> C);
 
 /// Form the T factor of a block reflector from k reflectors stored forward
 /// column-wise in V (n x k, unit lower trapezoidal; entries on/above the

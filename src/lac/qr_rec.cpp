@@ -22,11 +22,6 @@ std::vector<T>& g_tau() {
   return v;
 }
 template <class T>
-std::vector<T>& g_work() {
-  thread_local std::vector<T> v;
-  return v;
-}
-template <class T>
 std::vector<T>& g_merge() {
   thread_local std::vector<T> v;
   return v;
@@ -71,14 +66,12 @@ void base_geqrf(MatrixViewT<T> A, MatrixViewT<T> Tm) {
   const int m = A.m, n = A.n;
   const int k = std::min(m, n);
   T* tau = scratch(g_tau<T>(), static_cast<std::size_t>(k));
-  T* work = scratch(g_work<T>(), static_cast<std::size_t>(std::max(m, n)));
   for (int j = 0; j < k; ++j) {
     tau[j] = larfg<T>(m - j, A(j, j), &A(std::min(j + 1, m - 1), j), 1);
     if (j < n - 1 && tau[j] != T(0)) {
       const T ajj = A(j, j);
       A(j, j) = T(1);
-      larf_left<T>(tau[j], &A(j, j), 1, A.block(j, j + 1, m - j, n - j - 1),
-                   work);
+      larf_left<T>(tau[j], &A(j, j), 1, A.block(j, j + 1, m - j, n - j - 1));
       A(j, j) = ajj;
     }
   }

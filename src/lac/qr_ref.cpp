@@ -12,14 +12,12 @@ template <class T>
 void geqr2(MatrixViewT<T> A, T* tau) {
   const int m = A.m, n = A.n;
   const int k = std::min(m, n);
-  std::vector<T> work(std::max(m, n));
   for (int j = 0; j < k; ++j) {
     tau[j] = larfg<T>(m - j, A(j, j), &A(std::min(j + 1, m - 1), j), 1);
     if (j < n - 1 && tau[j] != T(0)) {
       const T ajj = A(j, j);
       A(j, j) = T(1);
-      larf_left<T>(tau[j], &A(j, j), 1, A.block(j, j + 1, m - j, n - j - 1),
-                   work.data());
+      larf_left<T>(tau[j], &A(j, j), 1, A.block(j, j + 1, m - j, n - j - 1));
       A(j, j) = ajj;
     }
   }
@@ -54,13 +52,12 @@ void orgqr(ConstMatrixViewT<T> A, const T* tau, int k, MatrixViewT<T> Q) {
     for (int i = 0; i < m; ++i) qj[i] = T(0);
     Q(j, j) = T(1);
   }
-  std::vector<T> v(m), work(std::max(m, ncols));
+  std::vector<T> v(m);
   // Apply H_1 ... H_k to I, backward: Q := H_1 (H_2 (... H_k I)).
   for (int j = k - 1; j >= 0; --j) {
     v[0] = T(1);
     for (int i = 1; i < m - j; ++i) v[i] = A(j + i, j);
-    larf_left<T>(tau[j], v.data(), 1, Q.block(j, j, m - j, ncols - j),
-                 work.data());
+    larf_left<T>(tau[j], v.data(), 1, Q.block(j, j, m - j, ncols - j));
   }
 }
 
@@ -68,14 +65,13 @@ template <class T>
 void gelq2(MatrixViewT<T> A, T* tau) {
   const int m = A.m, n = A.n;
   const int k = std::min(m, n);
-  std::vector<T> work(std::max(m, n));
   for (int i = 0; i < k; ++i) {
     tau[i] = larfg<T>(n - i, A(i, i), &A(i, std::min(i + 1, n - 1)), A.ld);
     if (i < m - 1 && tau[i] != T(0)) {
       const T aii = A(i, i);
       A(i, i) = T(1);
       larf_right<T>(tau[i], &A(i, i), A.ld,
-                    A.block(i + 1, i, m - i - 1, n - i), work.data());
+                    A.block(i + 1, i, m - i - 1, n - i));
       A(i, i) = aii;
     }
   }
@@ -90,12 +86,11 @@ void orglq(ConstMatrixViewT<T> A, const T* tau, int k, MatrixViewT<T> Q) {
     for (int i = 0; i < nrows; ++i) qj[i] = T(0);
   }
   for (int i = 0; i < std::min(nrows, n); ++i) Q(i, i) = T(1);
-  std::vector<T> v(n), work(std::max(nrows, n));
+  std::vector<T> v(n);
   for (int i = k - 1; i >= 0; --i) {
     v[0] = T(1);
     for (int j = 1; j < n - i; ++j) v[j] = A(i, i + j);
-    larf_right<T>(tau[i], v.data(), 1, Q.block(i, i, nrows - i, n - i),
-                  work.data());
+    larf_right<T>(tau[i], v.data(), 1, Q.block(i, i, nrows - i, n - i));
   }
 }
 
@@ -104,14 +99,14 @@ void ormqr_left(Trans trans, ConstMatrixViewT<T> A, const T* tau, int k,
                 MatrixViewT<T> C) {
   TBSVD_CHECK(A.m == C.m, "ormqr_left shape mismatch");
   const int m = C.m;
-  std::vector<T> v(m), work(std::max(C.m, C.n));
+  std::vector<T> v(m);
   // Q = H_1 ... H_k. Q^T C applies H_1 first; Q C applies H_k first.
   const bool forward = (trans == Trans::Yes);
   for (int idx = 0; idx < k; ++idx) {
     const int j = forward ? idx : k - 1 - idx;
     v[0] = T(1);
     for (int i = 1; i < m - j; ++i) v[i] = A(j + i, j);
-    larf_left<T>(tau[j], v.data(), 1, C.block(j, 0, m - j, C.n), work.data());
+    larf_left<T>(tau[j], v.data(), 1, C.block(j, 0, m - j, C.n));
   }
 }
 

@@ -92,7 +92,9 @@ TEST(BandMatrix, ViewIsDenseRectangleOfTheBand) {
 // bnd2bd<T>(B) must preserve B's singular values: compare the Jacobi
 // spectrum of the returned bidiagonal with the Jacobi spectrum of B, to
 // 45 n eps_T of sigma_max (the chase is a sequence of orthogonal
-// transformations, normwise backward stable).
+// transformations, normwise backward stable). The sweep pipeline must not
+// change a bit: bnd2bd(B, t) for t = 2, 3, 4 equals bnd2bd(B, 1) exactly
+// (bands with floor(n / 3b) >= 3 run it on min(t, floor(n / 3b)) workers).
 template <class T>
 void expect_bnd2bd_preserves_sv(const BandMatrixT<T>& B) {
   const int n = B.n();
@@ -100,6 +102,15 @@ void expect_bnd2bd_preserves_sv(const BandMatrixT<T>& B) {
   const BidiagonalT<T> bd = bnd2bd<T>(B);
   ASSERT_EQ(static_cast<int>(bd.d.size()), n);
   ASSERT_EQ(static_cast<int>(bd.e.size()), std::max(0, n - 1));
+  for (int t = 2; t <= 4; ++t) {
+    const BidiagonalT<T> bt = bnd2bd<T>(B, t);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(bt.d[i], bd.d[i]) << "d " << i << " t=" << t << " n=" << n;
+    }
+    for (int i = 0; i + 1 < n; ++i) {
+      ASSERT_EQ(bt.e[i], bd.e[i]) << "e " << i << " t=" << t << " n=" << n;
+    }
+  }
   Matrix D(n, n);
   for (int i = 0; i < n; ++i) D(i, i) = bd.d[i];
   for (int i = 0; i + 1 < n; ++i) D(i, i + 1) = bd.e[i];
@@ -124,6 +135,8 @@ TEST_P(Bnd2bdP, PreservesSingularValues) {
 
 // n not a multiple of b (33, 5), (41, 7); b >= n (10, 9), (12, 12),
 // (10, 15); the narrowest chased bands b = 2, 3; b <= 1 returns the input.
+// The sweep pipeline runs on 3 and 4 workers for (50, 2), (31, 3), (64, 4)
+// and the n % b != 0 shapes (61, 3), (101, 8), (200, 16).
 INSTANTIATE_TEST_SUITE_P(
     SizesAndBandwidths, Bnd2bdP,
     ::testing::Values(std::tuple{1, 1}, std::tuple{2, 1}, std::tuple{4, 2},
@@ -133,7 +146,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{31, 3}, std::tuple{41, 7},
                       std::tuple{10, 9}, std::tuple{12, 12},
                       std::tuple{10, 15}, std::tuple{12, 1},
-                      std::tuple{7, 0}));
+                      std::tuple{7, 0}, std::tuple{61, 3},
+                      std::tuple{64, 4}, std::tuple{101, 8},
+                      std::tuple{200, 16}));
 
 template <class T>
 class Bnd2bdTyped : public ::testing::Test {};
@@ -152,14 +167,17 @@ TYPED_TEST(Bnd2bdTyped, ZeroBandStaysZero) {
 
 // A zero row mid-matrix: reflectors whose tails are already zero (tau ==
 // 0) interleave with live ones, and one singular value is exactly lost.
+// n = 64 runs the sweep pipeline.
 TYPED_TEST(Bnd2bdTyped, ZeroRowMidMatrix) {
   using T = TypeParam;
-  const int n = 30, ku = 5;
-  BandMatrixT<T> B = random_band<T>(n, ku, 77);
-  for (int j = n / 2; j <= std::min(n - 1, n / 2 + ku); ++j) {
-    B.at(n / 2, j) = T(0);
+  const int ku = 5;
+  for (const int n : {30, 64}) {
+    BandMatrixT<T> B = random_band<T>(n, ku, 77);
+    for (int j = n / 2; j <= std::min(n - 1, n / 2 + ku); ++j) {
+      B.at(n / 2, j) = T(0);
+    }
+    expect_bnd2bd_preserves_sv<T>(B);
   }
-  expect_bnd2bd_preserves_sv<T>(B);
 }
 
 // Columns graded down to 1e-300 (double) / 1e-36 (float): at these sizes

@@ -133,6 +133,25 @@ TEST(Bidiag, ParallelMatchesSerialBitwise) {
       }
     }
   }
+
+  // End to end: at n = 256, nb = 16 the 4-thread solve also runs BND2BD's
+  // sweep pipeline (floor(256 / 48) = 5 >= 3 workers), and the spectrum
+  // must still match the serial solve bit for bit.
+  GenOptions gopt;
+  gopt.profile = SvProfile::Geometric;
+  std::vector<double> sv;
+  const Matrix S = generate_latms(256, 256, gopt, sv);
+  GesvdOptions opts;
+  opts.nb = 16;
+  const auto serial = gesvd_values(S.cview(), opts);
+  opts.ge2bnd.nthreads = 4;
+  const auto parallel = gesvd_values(S.cview(), opts);
+  ASSERT_EQ(serial.size(), sv.size());
+  ASSERT_EQ(parallel.size(), sv.size());
+  for (std::size_t i = 0; i < sv.size(); ++i) {
+    ASSERT_EQ(serial[i], parallel[i]) << "gesvd_values sv " << i;
+    EXPECT_NEAR(serial[i], sv[i], 1e-11) << "sv " << i;
+  }
 }
 
 class HqrP

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -88,6 +89,36 @@ TEST(Blas, Nrm2RobustToScale) {
   EXPECT_NEAR(nrm2(2, x.data(), 1), 5e-300, 1e-315);
   std::vector<double> y = {3e300, 4e300};
   EXPECT_NEAR(nrm2(2, y.data(), 1) / 5e300, 1.0, 1e-12);
+
+  // Stride 3 (a row of a band or a column-major matrix) takes the same
+  // paths as the contiguous copy — the chained fast path in range, the
+  // scaled loop outside it — so the norms agree bitwise. The gaps hold
+  // values that would change the result if they were read.
+  const auto strided = [](const std::vector<double>& x) {
+    const int n = static_cast<int>(x.size());
+    std::vector<double> xs(3 * static_cast<std::size_t>(n), 1e300);
+    for (int i = 0; i < n; ++i) xs[3 * i] = x[i];
+    const double contiguous = nrm2(n, x.data(), 1);
+    const double got = nrm2(n, xs.data(), 3);
+    if (std::isnan(contiguous)) {
+      EXPECT_TRUE(std::isnan(got));
+    } else {
+      EXPECT_EQ(got, contiguous);
+    }
+    return got;
+  };
+  std::vector<double> mid(11);
+  Rng rng(86);
+  for (double& v : mid) v = rng.uniform(-1.0, 1.0);
+  strided(mid);
+  std::vector<double> big = mid, tiny = mid;
+  for (double& v : big) v *= 1e200;
+  for (double& v : tiny) v *= 1e-200;
+  EXPECT_NEAR(strided(big) / (nrm2(11, mid.data(), 1) * 1e200), 1.0, 1e-14);
+  EXPECT_NEAR(strided(tiny) / (nrm2(11, mid.data(), 1) * 1e-200), 1.0, 1e-14);
+  EXPECT_GT(strided({4.9e-324, -1e-310, 2e-315, 0.0, 3e-320, -7e-309}), 0.0);
+  EXPECT_TRUE(std::isnan(
+      strided({1.0, 2.0, std::numeric_limits<double>::quiet_NaN(), 3.0, 4.0})));
 }
 
 TEST(Blas, TrmmLeftAgainstGemm) {
@@ -218,14 +249,40 @@ TEST(Householder, LarftLarfbMatchSequentialApplication) {
   Matrix C1 = C, C2 = C;
   Matrix work;
   larfb(Side::Left, Trans::Yes, A.cview(), T.cview(), C1.view(), work);
-  std::vector<double> v(m), w(n);
+  std::vector<double> v(m);
   for (int j = 0; j < k; ++j) {
     v[0] = 1.0;
     for (int i = 1; i < m - j; ++i) v[i] = A(j + i, j);
-    larf_left(tau[j], v.data(), 1, C2.view().block(j, 0, m - j, n), w.data());
+    larf_left(tau[j], v.data(), 1, C2.view().block(j, 0, m - j, n));
   }
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < m; ++i) EXPECT_NEAR(C1(i, j), C2(i, j), 1e-12);
+}
+
+// gebd2's row reflector: v lives in a row of the matrix (stride ld) and is
+// applied from the right to the rows below it. C spans more than one
+// 32-row slab of larf_right, with a ragged last slab.
+TEST(Householder, LarfRightStridedRowMatchesExplicitH) {
+  const int m = 75, n = 13;
+  Matrix A = random_matrix(m + 1, n, 41);
+  const double tau = larfg(n, A(0, 0), &A(0, 1), A.rows());
+  ASSERT_NE(tau, 0.0);
+  const double beta = A(0, 0);
+  A(0, 0) = 1.0;
+  Matrix H(n, n);
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < n; ++i) {
+      H(i, j) = (i == j ? 1.0 : 0.0) - tau * A(0, i) * A(0, j);
+    }
+  }
+  Matrix C(m, n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < m; ++i) C(i, j) = A(i + 1, j);
+  const Matrix ref = mul(C.cview(), H.cview(), Trans::No, Trans::No);
+  larf_right(tau, &A(0, 0), A.rows(), A.view().block(1, 0, m, n));
+  A(0, 0) = beta;
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < m; ++i) EXPECT_NEAR(A(i + 1, j), ref(i, j), kTol);
 }
 
 TEST(Householder, LarfbRightMatchesTransposedLeft) {
