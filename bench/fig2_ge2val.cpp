@@ -7,14 +7,17 @@
 //   scalapack*— blocked GEBRD, nb = 48, serial  (paper: ScaLAPACK)
 //   elemental*— Chan preQR switch (recursive-panel QR) + GEBRD
 //                                               (paper: Elemental)
-// Recorded ordering (bench/history/16a6cfb, 4 threads, nb = 64, f64 and
+// Recorded ordering (bench/history/e14d5c5, 4 threads, nb = 64, f64 and
 // f32, one run per point): on squares of 256/512/768 the two tiled
-// two-stage codes lead the one-stage stand-ins by 1.4-3.2x, with plasma*
-// level with or ahead of tbsvd except at 256 in f64 (tbsvd 5.0 against
-// 3.7 GFlop/s); on tall-and-skinny the one-stage GEBRD codes flatline at
-// 2.6-5.5 GFlop/s while tbsvd, plasma* and elemental* keep scaling with M,
-// except that plasma* and elemental* are flat from M = 1024 to 2048 at
-// N = 128 in f32.
+// two-stage codes lead the one-stage stand-ins by 1.4-4.2x; plasma* is
+// level with or ahead of tbsvd in f64 (10.8 against 9.1 GFlop/s at 512)
+// and at 768 in f32, and within 2% of it at 256 and 512 in f32. On
+// tall-and-skinny the one-stage GEBRD codes flatline at 2.3-5.1 GFlop/s
+// while tbsvd keeps scaling with M (11.0 -> 18.6 GFlop/s in f64 and
+// 10.2 -> 23.0 in f32 at N = 128); plasma* and elemental* scale too,
+// except at N = 128 in f64, where both fall from M = 1024 to 2048 (9.3 ->
+// 7.6 and 10.1 -> 6.3 GFlop/s; the one-stage codes fell at that point
+// as well).
 //
 // --dtype selects the working precision of every driver: f64 (default) or
 // f32. f32 series carry a _f32 suffix so the history tier tracks each

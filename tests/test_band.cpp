@@ -135,8 +135,9 @@ TEST_P(Bnd2bdP, PreservesSingularValues) {
 
 // n not a multiple of b (33, 5), (41, 7); b >= n (10, 9), (12, 12),
 // (10, 15); the narrowest chased bands b = 2, 3; b <= 1 returns the input.
-// The sweep pipeline runs on 3 and 4 workers for (50, 2), (31, 3), (64, 4)
-// and the n % b != 0 shapes (61, 3), (101, 8), (200, 16).
+// The sweep pipeline runs on three workers for (31, 3), and on three and
+// four for (50, 2), (64, 4) and the n % b != 0 shapes (61, 3), (101, 8),
+// (200, 16).
 INSTANTIATE_TEST_SUITE_P(
     SizesAndBandwidths, Bnd2bdP,
     ::testing::Values(std::tuple{1, 1}, std::tuple{2, 1}, std::tuple{4, 2},
