@@ -96,8 +96,11 @@ class SafeScaling {
                                            const Bd2valInfo& bi,
                                            SvdInfo* info) const;
 
- private:
+  /// True when the input norm lies outside the safe range, so scale()
+  /// scales; a driver may read the input in place when this is false.
   [[nodiscard]] bool active() const noexcept { return to_ != from_; }
+
+ private:
 
   double from_ = 0.0;  ///< input max-norm
   double to_ = 0.0;    ///< safe-range target (== from_ when inactive)

@@ -12,6 +12,7 @@
 #include "common/hazard.hpp"
 #include "common/rng.hpp"
 #include "lac/blas.hpp"
+#include "runtime/task_graph.hpp"
 #include "tune/tune.hpp"
 
 namespace tbsvd {
@@ -20,6 +21,70 @@ namespace {
 
 /// Library default for GesvdTruncatedOptions::oversample == 0.
 constexpr int kDefaultOversample = 8;
+
+/// Rows per task of the tall products. A constant rather than a function
+/// of nthreads, so every thread count runs the same gemm calls and sums
+/// the same partials in the same order: the products, and with them the
+/// whole solve, are bitwise identical for every nthreads.
+constexpr int kRowChunk = 1024;
+
+/// C = A B for tall A (m x n) and C (m x l): one serial gemm per
+/// kRowChunk-row chunk of A and C, on nthreads workers.
+template <class T>
+void gemm_tall_nn(ConstMatrixViewT<T> A, ConstMatrixViewT<T> B,
+                  MatrixViewT<T> C, int nthreads) {
+  TaskGraph g;
+  for (int r0 = 0; r0 < A.m; r0 += kRowChunk) {
+    const int rows = std::min(kRowChunk, A.m - r0);
+    const MatrixViewT<T> Cc = C.block(r0, 0, rows, C.n);
+    g.submit("rsvd_gemm_nn", [A, B, Cc, r0, rows] {
+      gemm<T>(Trans::No, Trans::No, T(1), A.block(r0, 0, rows, A.n), B, T(0),
+              Cc);
+    }, {{Cc.a, Access::Write}});
+  }
+  g.run(nthreads);
+}
+
+/// C = A^T B for tall A (m x n) and B (m x l), C (n x l): one partial
+/// product per kRowChunk-row chunk, then the partials summed in chunk
+/// order, one task per kSumCols-column block of C.
+template <class T>
+void gemm_tall_tn(ConstMatrixViewT<T> A, ConstMatrixViewT<T> B,
+                  MatrixViewT<T> C, int nthreads) {
+  constexpr int kSumCols = 8;
+  const int nchunks = (A.m + kRowChunk - 1) / kRowChunk;
+  const std::size_t psize = static_cast<std::size_t>(C.m) * C.n;
+  std::vector<T> part(psize * nchunks);
+  TaskGraph g;
+  std::vector<DataRef> sum_refs;
+  for (int c = 0; c < nchunks; ++c) {
+    const int r0 = c * kRowChunk;
+    const int rows = std::min(kRowChunk, A.m - r0);
+    const MatrixViewT<T> P(part.data() + psize * c, C.m, C.n, C.m);
+    g.submit("rsvd_gemm_tn", [A, B, P, r0, rows] {
+      gemm<T>(Trans::Yes, Trans::No, T(1), A.block(r0, 0, rows, A.n),
+              B.block(r0, 0, rows, B.n), T(0), P);
+    }, {{P.a, Access::Write}});
+    sum_refs.push_back({P.a, Access::Read});
+  }
+  sum_refs.push_back({nullptr, Access::Write});
+  for (int j0 = 0; j0 < C.n; j0 += kSumCols) {
+    const int cols = std::min(kSumCols, C.n - j0);
+    sum_refs.back().key = C.col(j0);
+    g.submit("rsvd_gemm_tn_sum", [&part, psize, nchunks, C, j0, cols] {
+      for (int j = j0; j < j0 + cols; ++j) {
+        T* cj = C.col(j);
+        const T* p0 = part.data() + static_cast<std::size_t>(j) * C.m;
+        std::copy(p0, p0 + C.m, cj);
+        for (int c = 1; c < nchunks; ++c) {
+          const T* pc = p0 + psize * c;
+          for (int i = 0; i < C.m; ++i) cj[i] += pc[i];
+        }
+      }
+    }, sum_refs);
+  }
+  g.run(nthreads);
+}
 
 /// One-sided Jacobi with accumulated right rotations: on exit the columns
 /// of W (n x l) are mutually orthogonal, J (l x l, entered as identity)
@@ -47,7 +112,11 @@ void one_sided_jacobi(MatrixViewT<T> W, MatrixViewT<T> J,
           aqq += y * y;
           apq += x * y;
         }
-        if (std::fabs(apq) <= 8.0 * eps * std::sqrt(app * aqq) ||
+        // sqrt(app) * sqrt(aqq), not sqrt(app * aqq): the product
+        // overflows for column norms above ~1e77 and underflows below
+        // ~1e-77, which would pass or never pass the test regardless of
+        // the actual angle.
+        if (std::fabs(apq) <= 8.0 * eps * std::sqrt(app) * std::sqrt(aqq) ||
             apq == 0.0) {
           continue;
         }
@@ -108,12 +177,19 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   TruncatedSvdT<T> res;
   SvdInfo& si = res.info;
 
-  // Safe-scaled working copy (the sketch products square the norm, so the
-  // sketch must see data already inside the per-precision safe range).
+  // The sketch products square the norm, so they must see data inside the
+  // per-precision safe range: when the guard scales, they read a scaled
+  // working copy; otherwise they read A itself.
   const SafeScaling<T> guard(A, "gesvd_truncated");
-  MatrixT<T> Aw(m, n);
-  copy<T>(A, Aw.view());
-  guard.scale(Aw.view());
+  MatrixT<T> scaled;
+  ConstMatrixViewT<T> Aw = A;
+  if (guard.active()) {
+    scaled = MatrixT<T>(m, n);
+    copy<T>(A, scaled.view());
+    guard.scale(scaled.view());
+    Aw = scaled.cview();
+  }
+  const int nt = opts.nthreads;
 
   const int oversample =
       tune::resolved_oversample(opts.oversample, kDefaultOversample);
@@ -127,8 +203,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
     for (int i = 0; i < n; ++i) Omega(i, j) = static_cast<T>(rng.normal());
   }
   MatrixT<T> Y(m, l);
-  gemm<T>(Trans::No, Trans::No, T(1), Aw.cview(), Omega.cview(), T(0),
-          Y.view());
+  gemm_tall_nn<T>(Aw, Omega.cview(), Y.view(), nt);
   if (TBSVD_FAULT_FIRE("rsvd.sketch_poison")) {
     Y(0, 0) = std::numeric_limits<T>::quiet_NaN();
   }
@@ -137,12 +212,12 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   qo.tree = opts.tree;
   qo.nb = opts.nb;
   qo.ib = opts.ib;
-  qo.nthreads = opts.nthreads;
+  qo.nthreads = nt;
   std::size_t tasks = 0;
   auto orthonormalize = [&](ConstMatrixViewT<T> X) {
     TsqrFactorsT<T> f = tsqr<T>(X, qo);
     tasks += f.ntasks;
-    return tsqr_form_q<T>(f, opts.nthreads);
+    return tsqr_form_q<T>(f, nt);
   };
 
   // Subspace iteration on (A A^T), re-orthonormalized through TSQR on the
@@ -154,11 +229,9 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   // times the dimension factors cannot overflow the working precision.
   for (int it = 0; it < opts.power_iters; ++it) {
     MatrixT<T> Z(n, l);
-    gemm<T>(Trans::Yes, Trans::No, T(1), Aw.cview(), Y.cview(), T(0),
-            Z.view());
+    gemm_tall_tn<T>(Aw, Y.cview(), Z.view(), nt);
     const MatrixT<T> Qz = orthonormalize(Z.cview());  // n x l, cheap
-    gemm<T>(Trans::No, Trans::No, T(1), Aw.cview(), Qz.cview(), T(0),
-            Y.view());
+    gemm_tall_nn<T>(Aw, Qz.cview(), Y.view(), nt);
   }
   const MatrixT<T> Q = orthonormalize(Y.cview());  // m x l
   si.ge2bnd_tasks = tasks;
@@ -166,7 +239,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   // Projected matrix, stored transposed: W = A^T Q = B^T (n x l, tall),
   // the m >= n orientation the shared direct staging wants.
   MatrixT<T> W(n, l);
-  gemm<T>(Trans::Yes, Trans::No, T(1), Aw.cview(), Q.cview(), T(0), W.view());
+  gemm_tall_tn<T>(Aw, Q.cview(), W.view(), nt);
 
   // Values through the Chan staging (on a copy when the factor path still
   // needs W), unscaled by the guard.
@@ -205,8 +278,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
       }  // a zero singular value has no defined vector; leave the column 0
     }
     res.U = MatrixT<T>(m, k);
-    gemm<T>(Trans::No, Trans::No, T(1), Q.cview(), Jk.cview(), T(0),
-            res.U.view());
+    gemm_tall_nn<T>(Q.cview(), Jk.cview(), res.U.view(), nt);
   }
   return res;
 }

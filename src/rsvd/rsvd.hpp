@@ -6,6 +6,18 @@
 // product, then a small SVD of the projected matrix through the shared
 // Chan staging, preQR + GEBRD + BD2VAL (baseline/chan.hpp).
 //
+// Every tall stage runs on `nthreads` workers. The m x n x l products
+// (A Omega, A^T Y, A Qz, A^T Q) and the U product split A's rows into fixed
+// 1024-row chunks, one serial gemm each; the A^T products sum their
+// per-chunk partials in chunk order. The chunk size does not depend on
+// nthreads, so values and factors are bitwise identical for every thread
+// count. The products read the input in place unless the guard below has
+// to scale it, in which case they read one scaled working copy.
+//
+// The factors come from a one-sided Jacobi on the projected matrix. Its
+// convergence test compares |a_pq| against eps * sqrt(a_pp) * sqrt(a_qq),
+// never sqrt(a_pp * a_qq), so it holds at every representable input scale.
+//
 // Defaults: oversample = 8 additional sketch columns (clamped so the
 // sketch never exceeds n) and power_iters = 1 subspace iteration — the
 // standard HMT recommendation for decaying spectra, accurate to ~1e-9
@@ -44,7 +56,7 @@ struct GesvdTruncatedOptions {
   /// Sketch seed; runs are deterministic given (seed, shape, options).
   std::uint64_t seed = 0x5EEDBA5EDULL;
   TreeKind tree = TreeKind::Greedy;  ///< TSQR reduction tree
-  int nb = 0;        ///< tile size (0 = tuned, capped near the sketch width)
+  int nb = 0;        ///< TSQR tile size (0 = tsqr.hpp's sketch-width rule)
   int ib = 0;        ///< inner blocking (0 = tuned)
   int nthreads = 1;  ///< executor workers (>= 1)
   /// Also form the truncated factors: U (m x k) and V (n x k) with
@@ -65,7 +77,8 @@ using TruncatedSvd = TruncatedSvdT<double>;
 
 /// Top-k singular values (and optional factors) of dense A, m >= n >= 1
 /// (transpose first for wide inputs; the spectrum is transpose-invariant
-/// and the factors swap). The input is not modified.
+/// and the factors swap). The input is not modified, and not copied unless
+/// its norm lies outside the safe range.
 template <class T>
 TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
                                  const GesvdTruncatedOptions& opts = {});

@@ -1,6 +1,7 @@
 #include "rsvd/tsqr.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -15,74 +16,78 @@ namespace tbsvd {
 
 namespace {
 
-// Same resolution rule as the dense SVD driver: explicit nb wins, the 0
-// sentinel takes the tuned nb capped at the panel width (rounded up for
-// kernel alignment, floored at 16 so tiles stay efficient). The cap
-// matters: every tile kernel costs O(nb^3) regardless of how many of the
-// nb columns are real, so a 64-wide tile on a 40-column sketch panel
-// wastes ~2.5x the flops in padding — and the range finder's TSQR runs on
-// exactly such panels.
+// Explicit nb wins. The 0 sentinel splits the panel into the tile count
+// nearest n / (tuned nb), then takes the narrowest tile that covers it
+// (rounded up for kernel alignment, floored at 16 so tiles stay
+// efficient). Every tile kernel costs O(nb^3) whether or not its columns
+// are real, so a 72-wide sketch panel gets one 72-wide tile rather than
+// 64 + 64 (88% of the second tile padding), a 40-wide one stays 40, and
+// a 256-wide one keeps the tuned 64.
 template <class T>
 int resolve_tsqr_nb(int requested, int n) {
   const int nb = tune::resolved_nb(requested, static_cast<int>(sizeof(T)),
                                    /*fallback=*/64);
   if (requested > 0) return nb;
-  const int cap = std::max(16, ((n + 7) / 8) * 8);
-  return std::max(1, std::min(nb, cap));
+  const int q = std::max(
+      1, static_cast<int>(std::lround(static_cast<double>(n) / nb)));
+  const int width = (n + q - 1) / q;
+  return std::max(16, ((width + 7) / 8) * 8);
 }
 
-// Replay the factorization's QR panel transforms over one tile column of C:
-// forward order composes Q^T, reverse order Q.
+// Apply one recorded QR panel transform to tile column jq of C.
 template <class T>
-void replay_col(const TsqrFactorsT<T>& f, Trans trans, TileMatrixT<T>& C,
-                int jq) {
+void apply_panel(const TsqrFactorsT<T>& f, Trans trans, const TileOp& t,
+                 TileMatrixT<T>& C, int jq) {
   using namespace kernels;
-  const int ib = f.ib;
-  auto apply = [&](const TileOp& t) {
-    switch (t.op) {
-      case Op::GEQRT:
-        unmqr<T>(trans, f.A.tile(t.tgt, t.k), f.t.tqts.tile(t.tgt, t.k),
-                 C.tile(t.tgt, jq), ib);
-        break;
-      case Op::TSQRT:
-        tsmqr<T>(trans, C.tile(t.piv, jq), C.tile(t.tgt, jq),
-                 f.A.tile(t.tgt, t.k), f.t.tqts.tile(t.tgt, t.k), ib);
-        break;
-      case Op::TTQRT:
-        ttmqr<T>(trans, C.tile(t.piv, jq), C.tile(t.tgt, jq),
-                 f.A.tile(t.tgt, t.k), f.t.tqtt.tile(t.tgt, t.k), ib);
-        break;
-      default:
-        break;
-    }
-  };
-  if (trans == Trans::Yes) {
-    for (const TileOp& t : f.ops) {
-      if (op_is_panel(t.op) && !op_is_lq(t.op)) apply(t);
-    }
-  } else {
-    for (auto it = f.ops.rbegin(); it != f.ops.rend(); ++it) {
-      if (op_is_panel(it->op) && !op_is_lq(it->op)) apply(*it);
-    }
+  switch (t.op) {
+    case Op::GEQRT:
+      unmqr<T>(trans, f.A.tile(t.tgt, t.k), f.t.tqts.tile(t.tgt, t.k),
+               C.tile(t.tgt, jq), f.ib);
+      break;
+    case Op::TSQRT:
+      tsmqr<T>(trans, C.tile(t.piv, jq), C.tile(t.tgt, jq),
+               f.A.tile(t.tgt, t.k), f.t.tqts.tile(t.tgt, t.k), f.ib);
+      break;
+    case Op::TTQRT:
+      ttmqr<T>(trans, C.tile(t.piv, jq), C.tile(t.tgt, jq),
+               f.A.tile(t.tgt, t.k), f.t.tqtt.tile(t.tgt, t.k), f.ib);
+      break;
+    default:
+      break;
   }
 }
 
-// Tile columns of C are independent under the replay; one task per column
-// keeps the executor's queues busy without any inter-task dependencies.
+// Replay the factorization's QR panel transforms on C as a tile DAG: one
+// task per (panel op, tile column of C) with ReadWrite on the C tiles the
+// op touches. Forward order composes Q^T, reverse order Q. The derived
+// dependencies keep each tile's updates in replay order, so the result is
+// bitwise the serial replay's for every nthreads, while the reduction
+// tree's independent row tiles fan out over the workers.
 template <class T>
 void replay_q(const TsqrFactorsT<T>& f, Trans trans, TileMatrixT<T>& C,
               int nthreads) {
   TBSVD_CHECK(nthreads >= 1, "tsqr_apply_q: nthreads must be >= 1");
-  const int nct = C.nt();
-  if (nthreads == 1 || nct == 1) {
-    for (int jq = 0; jq < nct; ++jq) replay_col<T>(f, trans, C, jq);
-    return;
+  std::vector<TileOp> panels;
+  for (const TileOp& t : f.ops) {
+    if (op_is_panel(t.op) && !op_is_lq(t.op)) panels.push_back(t);
   }
+  if (trans == Trans::No) std::reverse(panels.begin(), panels.end());
+
   TaskGraph g;
-  for (int jq = 0; jq < nct; ++jq) {
-    g.submit("tsqr_apply_col",
-             [&f, trans, &C, jq] { replay_col<T>(f, trans, C, jq); },
-             {{C.tile_ptr(0, jq), Access::Write}});
+  for (const TileOp& t : panels) {
+    for (int jq = 0; jq < C.nt(); ++jq) {
+      auto task = [&f, trans, t, &C, jq] {
+        apply_panel<T>(f, trans, t, C, jq);
+      };
+      if (t.op == Op::GEQRT) {
+        g.submit("tsqr_apply_q", task,
+                 {{C.tile_ptr(t.tgt, jq), Access::ReadWrite}});
+      } else {
+        g.submit("tsqr_apply_q", task,
+                 {{C.tile_ptr(t.piv, jq), Access::ReadWrite},
+                  {C.tile_ptr(t.tgt, jq), Access::ReadWrite}});
+      }
+    }
   }
   g.run(nthreads);
 }

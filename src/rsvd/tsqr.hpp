@@ -13,6 +13,10 @@
 // panel transforms on C (forward with Trans::Yes for Q^T C, reverse with
 // Trans::No for Q C), so the m x m Q is never materialized — the
 // randomized range-finder (rsvd.hpp) only ever needs the thin factor.
+// The replay is itself a tile DAG: one task per (panel op, tile column of
+// C), reading and writing the C tiles the op touches, so the reduction
+// tree's row tiles fan out over the workers and the result is bitwise the
+// same for every thread count.
 //
 // Padding contract: inputs are zero-padded to tile multiples internally.
 // Reflectors computed from exactly-zero padding rows are exactly zero, so
@@ -39,10 +43,13 @@ namespace tbsvd {
 struct TsqrOptions {
   /// Reduction tree combining the per-panel tile rows (paper Section III).
   TreeKind tree = TreeKind::Greedy;
-  /// Tile size; 0 resolves to the active calibration's tuned nb capped at
-  /// the panel width (tile kernels cost O(nb^3) whether or not the columns
-  /// are real, so a skinny sketch must not pad up to a mostly-empty tile)
-  /// and to the historical 64 when no calibration is loaded.
+  /// Tile size; an explicit value wins. 0 splits the n panel columns into
+  /// q = max(1, round(n / tuned nb)) tile columns and takes
+  /// nb = max(16, n / q rounded up to a multiple of 8), where the tuned nb
+  /// is the active calibration's, or 64 when none is loaded. Tile kernels
+  /// cost O(nb^3) whether or not the columns are real, so a sketch panel
+  /// must not pad up to a mostly empty tile: 72 columns give one 72-wide
+  /// tile, 100 give two of 56, 40 stay 40, and 256 keep 64.
   int nb = 0;
   /// Inner blocking; 0 resolves to the tuned ib (historical 32), capped
   /// at nb.
@@ -81,15 +88,15 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts = {});
 /// Q here is the full orthogonal factor of the padded problem restricted
 /// to the leading f.m rows: after Q^T C the leading f.n rows carry the
 /// R-space coefficients (all a least-squares solve consumes); for Q C the
-/// thin-factor semantics hold when C's rows beyond f.n are zero. Tile
-/// columns of C are independent and fan out over the executor when
-/// nthreads > 1.
+/// thin-factor semantics hold when C's rows beyond f.n are zero. The
+/// replay runs as a tile DAG on nthreads workers (bitwise the same result
+/// for every nthreads).
 template <class T>
 void tsqr_apply_q(const TsqrFactorsT<T>& f, Trans trans, MatrixViewT<T> C,
                   int nthreads = 1);
 
 /// The explicit thin factor: m x n Q with orthonormal columns and
-/// A = Q * R (applies Q to [I_n; 0] tile-column-parallel).
+/// A = Q * R (the tile-DAG replay of Q applied to [I_n; 0]).
 template <class T>
 MatrixT<T> tsqr_form_q(const TsqrFactorsT<T>& f, int nthreads = 1);
 

@@ -155,7 +155,9 @@ TYPED_TEST(BatchedT, InvalidViewIsIsolatedInvalidArgument) {
   const auto res = batched::svd<T>(views);
   EXPECT_EQ(res.reports[1].status, Status::InvalidArgument);
   for (std::size_t i = 0; i < views.size(); ++i) {
-    if (i != 1) EXPECT_TRUE(res.reports[i].ok()) << i;
+    if (i != 1) {
+      EXPECT_TRUE(res.reports[i].ok()) << i;
+    }
   }
 }
 

@@ -2,14 +2,18 @@
 // QR oracle (R up to row signs, Q orthogonality, backward error, implicit
 // applies) across tall shapes and every reduction tree; gesvd_truncated
 // top-k accuracy against the full gesvd_values driver on low-rank-plus-
-// noise inputs in float and double; truncated factors; the typed-error and
-// safe-scaling contracts; and the nthreads >= 1 option-contract
-// enforcement (regression for the examples bug that passed an unclamped
-// hardware_concurrency() into the drivers).
+// noise inputs in float and double; truncated factors across input scales;
+// bitwise determinism across thread counts; the sketch-width tile rule; the
+// typed-error and safe-scaling contracts; and the nthreads >= 1
+// option-contract enforcement (regression for the examples bug that passed
+// an unclamped hardware_concurrency() into the drivers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/svd.hpp"
@@ -19,6 +23,7 @@
 #include "runtime/task_graph.hpp"
 #include "test_harness.hpp"
 #include "tile/matrix_gen.hpp"
+#include "tune/tune.hpp"
 
 namespace tbsvd {
 namespace {
@@ -141,6 +146,55 @@ TEST(Tsqr, ThreadedMatchesSerialBitwise) {
   for (int j = 0; j < 64; ++j) {
     for (int i = 0; i < 256; ++i) EXPECT_EQ(Qs(i, j), Qt(i, j));
   }
+  // The implicit applies replay the same tile DAG: 4 workers must match 1
+  // bitwise in both directions, on a C spanning two tile columns.
+  const Matrix C = random_matrix(256, 40, 78);
+  for (const Trans trans : {Trans::Yes, Trans::No}) {
+    Matrix Cs = C;
+    Matrix Ct = C;
+    tsqr_apply_q<double>(fs, trans, Cs.view());
+    tsqr_apply_q<double>(fs, trans, Ct.view(), /*nthreads=*/4);
+    for (int j = 0; j < 40; ++j) {
+      for (int i = 0; i < 256; ++i) {
+        EXPECT_EQ(Cs(i, j), Ct(i, j))
+            << (trans == Trans::Yes ? "Q^T C" : "Q C") << " at " << i << ","
+            << j;
+      }
+    }
+  }
+}
+
+// nb = 0 picks the tile count nearest n / (tuned nb) and the narrowest
+// 8-aligned tile covering it, so a sketch panel never pads up to a mostly
+// empty second tile; an explicit nb is kept.
+TEST(Tsqr, SketchWidthTileRule) {
+  const int tuned = tune::resolved_nb(0, static_cast<int>(sizeof(double)),
+                                      /*fallback=*/64);
+  for (const int n : {40, 72, 100, 256}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const Matrix A = random_matrix(4 * n, n, 90 + n);
+    const TsqrFactors f = tsqr<double>(A.cview(), {});
+    const int q = f.A.nt(), nb = f.A.nb();
+    EXPECT_EQ(q, std::max(1, static_cast<int>(std::lround(
+                                 static_cast<double>(n) / tuned))));
+    EXPECT_GE(q * nb, n);
+    EXPECT_EQ(nb % 8, 0);
+    EXPECT_TRUE(nb == 16 || nb - (n + q - 1) / q < 8) << "nb " << nb;
+    if (tuned == 64) {  // the uncalibrated default
+      const std::pair<int, int> want =
+          n == 40 ? std::pair{1, 40}
+                  : n == 72 ? std::pair{1, 72}
+                            : n == 100 ? std::pair{2, 56} : std::pair{4, 64};
+      EXPECT_EQ(q, want.first);
+      EXPECT_EQ(nb, want.second);
+    }
+  }
+  const Matrix A = random_matrix(288, 72, 91);
+  TsqrOptions explicit_nb;
+  explicit_nb.nb = 32;
+  const TsqrFactors f = tsqr<double>(A.cview(), explicit_nb);
+  EXPECT_EQ(f.A.nb(), 32);
+  EXPECT_EQ(f.A.nt(), 3);
 }
 
 TEST(Tsqr, TypedErrors) {
@@ -206,35 +260,80 @@ TEST(GesvdTruncated, TopKMatchesFullDriverFloat) {
   }
 }
 
-TEST(GesvdTruncated, FactorsReconstructLowRankInput) {
+// Factors of an exactly rank-k input reconstruct it at every input scale.
+// The Jacobi convergence test used to multiply squared column norms, which
+// overflow above ~1e77 and underflow below ~1e-77: large inputs came back
+// with unconverged factors silently, small ones threw convergence_error,
+// whether or not the guard scaled them.
+TEST(GesvdTruncated, FactorsAtExtremeScales) {
   const int m = 200, n = 64, k = 8;
   std::vector<double> sv(n, 0.0);
   for (int i = 0; i < k; ++i) sv[i] = double(k - i);
   const Matrix A = generate_matrix_with_sv(m, n, sv, 7);
   GesvdTruncatedOptions opts;
   opts.want_factors = true;
-  const TruncatedSvd tr = gesvd_truncated<double>(A.cview(), k, opts);
-  ASSERT_EQ(tr.U.rows(), m);
-  ASSERT_EQ(tr.U.cols(), k);
-  ASSERT_EQ(tr.V.rows(), n);
-  ASSERT_EQ(tr.V.cols(), k);
-  expect_orthogonal<double>(tr.U.cview(), test::default_tol_per_dim(), "U");
-  expect_orthogonal<double>(tr.V.cview(), test::default_tol_per_dim(), "V");
-  // A is exactly rank k, so U diag(values) V^T reconstructs it.
-  Matrix US(m, k);
-  for (int j = 0; j < k; ++j) {
-    for (int i = 0; i < m; ++i) US(i, j) = tr.U(i, j) * tr.values[j];
+  for (const double scale : {1e-300, 1e-100, 1.0, 1e100, 1e140, 1e200}) {
+    SCOPED_TRACE("scale 1e" + std::to_string(std::lround(std::log10(scale))));
+    Matrix S(m, n);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < m; ++i) S(i, j) = A(i, j) * scale;
+    }
+    TruncatedSvd tr;
+    ASSERT_NO_THROW(tr = gesvd_truncated<double>(S.cview(), k, opts));
+    ASSERT_EQ(tr.U.rows(), m);
+    ASSERT_EQ(tr.U.cols(), k);
+    ASSERT_EQ(tr.V.rows(), n);
+    ASSERT_EQ(tr.V.cols(), k);
+    expect_orthogonal<double>(tr.U.cview(), test::default_tol_per_dim(), "U");
+    expect_orthogonal<double>(tr.V.cview(), test::default_tol_per_dim(), "V");
+    // U diag(values / scale) V^T against the unscaled A, so the residual
+    // stays representable.
+    Matrix US(m, k);
+    for (int j = 0; j < k; ++j) {
+      const double sigma = tr.values[j] / scale;
+      for (int i = 0; i < m; ++i) US(i, j) = tr.U(i, j) * sigma;
+    }
+    Matrix rec = test::mul<double>(US.cview(), tr.V.cview(), Trans::No,
+                                   Trans::Yes);
+    double err2 = 0.0;
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < m; ++i) {
+        const double d = rec(i, j) - A(i, j);
+        err2 += d * d;
+      }
+    }
+    EXPECT_LT(std::sqrt(err2) / norm_fro<double>(A.cview()), 1e-9);
   }
-  Matrix rec = test::mul<double>(US.cview(), tr.V.cview(), Trans::No,
-                                 Trans::Yes);
-  double err2 = 0.0;
+}
+
+// The tall products run fixed row chunks and the Q replay is a tile DAG,
+// so values and factors must not depend on the thread count. m = 2500 is
+// not a multiple of the product row chunk; the 1e300 input takes the
+// scaled-copy path.
+TEST(GesvdTruncated, ThreadCountsMatchBitwise) {
+  const int m = 2500, n = 300, k = 20;
+  const Matrix A = low_rank_input(m, n, k, 1e-10, 41);
+  Matrix S(m, n);
   for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < m; ++i) {
-      const double d = rec(i, j) - A(i, j);
-      err2 += d * d;
+    for (int i = 0; i < m; ++i) S(i, j) = A(i, j) * 1e300;
+  }
+  for (const Matrix* input : {&A, static_cast<const Matrix*>(&S)}) {
+    GesvdTruncatedOptions opts;
+    opts.want_factors = true;
+    const TruncatedSvd ref = gesvd_truncated<double>(input->cview(), k, opts);
+    EXPECT_EQ(ref.info.scaled, input == &S);
+    for (int t = 2; t <= 4; ++t) {
+      SCOPED_TRACE("nthreads " + std::to_string(t) +
+                   (input == &S ? " scaled" : ""));
+      opts.nthreads = t;
+      const TruncatedSvd tr = gesvd_truncated<double>(input->cview(), k, opts);
+      for (int i = 0; i < k; ++i) EXPECT_EQ(tr.values[i], ref.values[i]);
+      for (int j = 0; j < k; ++j) {
+        for (int i = 0; i < m; ++i) ASSERT_EQ(tr.U(i, j), ref.U(i, j));
+        for (int i = 0; i < n; ++i) ASSERT_EQ(tr.V(i, j), ref.V(i, j));
+      }
     }
   }
-  EXPECT_LT(std::sqrt(err2) / norm_fro<double>(A.cview()), 1e-9);
 }
 
 TEST(GesvdTruncated, TypedErrors) {
