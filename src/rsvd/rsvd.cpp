@@ -67,18 +67,17 @@ void gemm_tall_tn(ConstMatrixViewT<T> A, ConstMatrixViewT<T> B,
     }, {{P.a, Access::Write}});
     sum_refs.push_back({P.a, Access::Read});
   }
+  // Each sum task reads every partial and writes its block of C.
   sum_refs.push_back({nullptr, Access::Write});
   for (int j0 = 0; j0 < C.n; j0 += kSumCols) {
     const int cols = std::min(kSumCols, C.n - j0);
     sum_refs.back().key = C.col(j0);
     g.submit("rsvd_gemm_tn_sum", [&part, psize, nchunks, C, j0, cols] {
       for (int j = j0; j < j0 + cols; ++j) {
-        T* cj = C.col(j);
         const T* p0 = part.data() + static_cast<std::size_t>(j) * C.m;
-        std::copy(p0, p0 + C.m, cj);
+        std::copy(p0, p0 + C.m, C.col(j));
         for (int c = 1; c < nchunks; ++c) {
-          const T* pc = p0 + psize * c;
-          for (int i = 0; i < C.m; ++i) cj[i] += pc[i];
+          axpy<T>(C.m, T(1), p0 + psize * c, 1, C.col(j), 1);
         }
       }
     }, sum_refs);

@@ -170,23 +170,22 @@ TEST(Tsqr, ThreadedMatchesSerialBitwise) {
 TEST(Tsqr, SketchWidthTileRule) {
   const int tuned = tune::resolved_nb(0, static_cast<int>(sizeof(double)),
                                       /*fallback=*/64);
-  for (const int n : {40, 72, 100, 256}) {
-    SCOPED_TRACE("n = " + std::to_string(n));
-    const Matrix A = random_matrix(4 * n, n, 90 + n);
+  struct Case {
+    int n, q, nb;  // q x nb: the expected tiling at the uncalibrated 64
+  };
+  for (const Case c : {Case{40, 1, 40}, Case{72, 1, 72}, Case{100, 2, 56},
+                       Case{256, 4, 64}}) {
+    SCOPED_TRACE("n = " + std::to_string(c.n));
+    const Matrix A = random_matrix(4 * c.n, c.n, 90 + c.n);
     const TsqrFactors f = tsqr<double>(A.cview(), {});
     const int q = f.A.nt(), nb = f.A.nb();
-    EXPECT_EQ(q, std::max(1, static_cast<int>(std::lround(
-                                 static_cast<double>(n) / tuned))));
-    EXPECT_GE(q * nb, n);
-    EXPECT_EQ(nb % 8, 0);
-    EXPECT_TRUE(nb == 16 || nb - (n + q - 1) / q < 8) << "nb " << nb;
-    if (tuned == 64) {  // the uncalibrated default
-      const std::pair<int, int> want =
-          n == 40 ? std::pair{1, 40}
-                  : n == 72 ? std::pair{1, 72}
-                            : n == 100 ? std::pair{2, 56} : std::pair{4, 64};
-      EXPECT_EQ(q, want.first);
-      EXPECT_EQ(nb, want.second);
+    if (tuned == 64) {
+      EXPECT_EQ(q, c.q);
+      EXPECT_EQ(nb, c.nb);
+    } else {  // a calibration is loaded: check the rule itself
+      EXPECT_EQ(q, std::max(1, static_cast<int>(std::lround(
+                                   static_cast<double>(c.n) / tuned))));
+      EXPECT_EQ(nb, std::max(16, ((c.n + q - 1) / q + 7) / 8 * 8));
     }
   }
   const Matrix A = random_matrix(288, 72, 91);
