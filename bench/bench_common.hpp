@@ -27,7 +27,6 @@
 #include "kernels/qr_kernels.hpp"
 #include "tile/matrix_gen.hpp"
 #include "tune/calibrate.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd::bench {
 
@@ -154,23 +153,20 @@ inline std::string dtype_suffix(DType d) {
 }
 
 /// Shared argv handling for the benches:
-/// `[--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
-///  [--tune-file PATH]`.
+/// `[--smoke] [--out PATH] [--dtype f32|f64] [--nb N]`.
 /// Returns false (after printing usage) on unknown arguments. `smoke`
 /// additionally picks up pre-set state (e.g. TBSVD_BENCH_FULL) untouched —
 /// it only narrows the sweep; `out` is left at the caller's default when
-/// no --out is given. Benches that don't support precision selection, a
-/// tile-size override or a persisted calibration pass nullptr for
-/// `dtype` / `nb` / `tune_file`, which rejects the flag.
+/// no --out is given. Benches that don't support precision selection or a
+/// tile-size override pass nullptr for `dtype` / `nb`, which rejects the
+/// flag.
 inline bool parse_bench_args(int argc, char** argv, bool& smoke,
                              const char*& out, DType* dtype = nullptr,
-                             int* nb = nullptr,
-                             const char** tune_file = nullptr) {
+                             int* nb = nullptr) {
   auto usage = [&] {
-    std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]%s%s%s\n", argv[0],
+    std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]%s%s\n", argv[0],
                  dtype != nullptr ? " [--dtype f32|f64]" : "",
-                 nb != nullptr ? " [--nb N]" : "",
-                 tune_file != nullptr ? " [--tune-file PATH]" : "");
+                 nb != nullptr ? " [--nb N]" : "");
     return false;
   };
   for (int i = 1; i < argc; ++i) {
@@ -192,9 +188,6 @@ inline bool parse_bench_args(int argc, char** argv, bool& smoke,
                i + 1 < argc) {
       *nb = std::atoi(argv[++i]);
       if (*nb < 1) return usage();
-    } else if (tune_file != nullptr &&
-               std::strcmp(argv[i], "--tune-file") == 0 && i + 1 < argc) {
-      *tune_file = argv[++i];
     } else {
       return usage();
     }
@@ -202,34 +195,9 @@ inline bool parse_bench_args(int argc, char** argv, bool& smoke,
   return true;
 }
 
-/// Load a persisted calibration for a bench run (--tune-file): exits with
-/// a message on a corrupt/stale file rather than silently re-calibrating,
-/// and prints the host-mismatch flag when the file came from another
-/// machine. Returns the per-dtype table.
-inline const tune::PrecisionCalib& load_tune_table(const char* path,
-                                                   tune::Calibration& cal,
-                                                   DType dtype) {
-  tune::TuneLoadInfo info;
-  try {
-    cal = tune::load_calibration(path, &info);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench: --tune-file %s unusable: %s\n", path,
-                 e.what());
-    std::exit(1);
-  }
-  if (info.host_mismatch) {
-    std::fprintf(stderr, "bench: note: %s\n", info.message.c_str());
-  }
-  const tune::PrecisionCalib* t =
-      cal.find(dtype == DType::F64 ? "f64" : "f32");
-  if (t == nullptr) t = &cal.precisions.front();
-  return *t;
-}
-
-// Kernel-time calibration and the measured cost model were promoted into
-// the library (src/tune/calibrate.hpp) so the autotuner and the executor's
-// priority weights share them with the benches; re-exported here to keep
-// every bench's call sites unchanged.
+// Kernel-time calibration and the measured cost model live in the library
+// (src/tune/calibrate.hpp); re-exported here to keep every bench's call
+// sites unchanged.
 using tune::calibrate_kernels;
 using tune::measured_cost;
 

@@ -17,9 +17,6 @@
 // own series suffix so the history tier can track the float-vs-double
 // throughput ratio. --nb overrides the tile size (default 64; the
 // precision comparison in docs/PERF.md uses 160).
-// --tune-file takes (nb, ib) and the simulator's kernel table from a
-// persisted tbsvd_tune calibration instead of re-calibrating in process
-// (an explicit --nb still wins on the tile size).
 //
 // Every measured and simulated point is also appended to the JSON artifact
 // (default BENCH_fig2_ge2bnd.json; same Record schema as the kernel
@@ -27,7 +24,6 @@
 // diffable across PRs via bench/history/.
 //
 // Usage: fig2_ge2bnd [--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
-//                    [--tune-file PATH]
 #include <algorithm>
 #include <thread>
 
@@ -100,33 +96,18 @@ int main(int argc, char** argv) {
 
   bool smoke = false;
   const char* out = "BENCH_fig2_ge2bnd.json";
-  const char* tune_file = nullptr;
   int nb_flag = 0;
-  if (!parse_bench_args(argc, argv, smoke, out, &g_dtype, &nb_flag,
-                        &tune_file)) {
+  if (!parse_bench_args(argc, argv, smoke, out, &g_dtype, &nb_flag)) {
     return 2;
   }
   if (nb_flag > 0) g_nb = nb_flag;
 
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
-  std::map<Op, double> ktab;
-  tune::Calibration cal;
-  if (tune_file != nullptr) {
-    const tune::PrecisionCalib& pc =
-        load_tune_table(tune_file, cal, g_dtype);
-    if (nb_flag == 0) {
-      g_nb = pc.nb;
-      g_ib = pc.ib;
-    }
-    std::printf("using persisted calibration %s (nb=%d, ib=%d)\n", tune_file,
-                g_nb, g_ib);
-    ktab = pc.kernel_seconds;
-  } else {
-    ktab = (g_dtype == DType::F64)
-               ? calibrate_kernels<double>(g_nb, g_ib, smoke ? 2 : 3)
-               : calibrate_kernels<float>(g_nb, g_ib, smoke ? 2 : 3);
-  }
+  const std::map<Op, double> ktab =
+      (g_dtype == DType::F64)
+          ? calibrate_kernels<double>(g_nb, g_ib, smoke ? 2 : 3)
+          : calibrate_kernels<float>(g_nb, g_ib, smoke ? 2 : 3);
   const std::string dsuf = dtype_suffix(g_dtype);
   const TreeKind trees[] = {TreeKind::FlatTS, TreeKind::FlatTT,
                             TreeKind::Greedy, TreeKind::Auto};

@@ -27,11 +27,7 @@
 // Record schema plus problem extents) for cross-PR tracking via
 // bench/history/.
 //
-// With --tune-file PATH the tiled columns take (nb, ib) from a persisted
-// tbsvd_tune calibration (an explicit --nb still wins on the tile size).
-//
 // Usage: fig2_ge2val [--smoke] [--out PATH] [--dtype f32|f64] [--nb N]
-//                    [--tune-file PATH]
 #include <algorithm>
 #include <thread>
 
@@ -138,24 +134,11 @@ int main(int argc, char** argv) {
 
   bool smoke = false;
   const char* out = "BENCH_fig2_ge2val.json";
-  const char* tune_file = nullptr;
   int nb_flag = 0;
-  if (!parse_bench_args(argc, argv, smoke, out, &g_dtype, &nb_flag,
-                        &tune_file)) {
+  if (!parse_bench_args(argc, argv, smoke, out, &g_dtype, &nb_flag)) {
     return 2;
   }
   if (nb_flag > 0) g_nb = nb_flag;
-  tune::Calibration cal;
-  if (tune_file != nullptr) {
-    const tune::PrecisionCalib& pc =
-        load_tune_table(tune_file, cal, g_dtype);
-    if (nb_flag == 0) {
-      g_nb = pc.nb;
-      g_ib = pc.ib;
-    }
-    std::printf("using persisted calibration %s (nb=%d, ib=%d)\n", tune_file,
-                g_nb, g_ib);
-  }
   const std::string dsuf = dtype_suffix(g_dtype);
 
   const int hw = static_cast<int>(

@@ -11,10 +11,7 @@
 // and under the measured per-kernel times of this implementation
 // (bench::measured_cost over calibrate_kernels at nb=160, ib=32), to show
 // how far the calibration drift documented in docs/PERF.md moves delta_s
-// out of the paper's predicted [5, 8] band. With `--tune-file PATH` the
-// measured table comes from a persisted tbsvd_tune calibration instead of
-// re-calibrating in process — the delta_s set is identical for a file
-// recorded on this machine. See docs/EXPERIMENTS.md.
+// out of the paper's predicted [5, 8] band. See docs/EXPERIMENTS.md.
 #include "bench_common.hpp"
 #include "cp/crossover.hpp"
 
@@ -29,11 +26,7 @@ int main(int argc, char** argv) {
 
   bool smoke = false;
   const char* out = nullptr;  // no JSON artifact; flag kept uniform
-  const char* tune_file = nullptr;
-  if (!parse_bench_args(argc, argv, smoke, out, nullptr, nullptr,
-                        &tune_file)) {
-    return 1;
-  }
+  if (!parse_bench_args(argc, argv, smoke, out)) return 1;
 
   std::vector<int> qs = {2, 3, 4, 5, 6, 8, 10, 12, 16};
   if (smoke) qs = {2, 3, 4};
@@ -48,19 +41,8 @@ int main(int argc, char** argv) {
                 exact.delta_s, est.p_switch, est.delta_s);
   }
 
-  std::map<Op, double> table;
-  tune::Calibration cal;
-  if (tune_file != nullptr) {
-    const tune::PrecisionCalib& pc =
-        load_tune_table(tune_file, cal, DType::F64);
-    std::printf("\nusing persisted kernel table from %s (nb=%d, ib=%d)\n",
-                tune_file, pc.nb, pc.ib);
-    table = pc.kernel_seconds;
-  } else {
-    std::printf("\ncalibrating kernels at nb=160, ib=32 ...\n");
-    table = calibrate_kernels(160, 32);
-  }
-  const OpCost mcost = measured_cost(table);
+  std::printf("\ncalibrating kernels at nb=160, ib=32 ...\n");
+  const OpCost mcost = measured_cost(calibrate_kernels(160, 32));
   print_header("Sec.IV.C delta_s(q), Greedy trees (measured kernel costs)",
                {"q", "exact p*", "exact d_s", "estim p*", "estim d_s"});
   double est_min = 1e300, est_max = 0.0;

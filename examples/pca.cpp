@@ -15,7 +15,6 @@
 #include "core/svd.hpp"
 #include "lac/blas.hpp"
 #include "rsvd/rsvd.hpp"
-#include "tune/tune.hpp"
 
 int main(int argc, char** argv) {
   using namespace tbsvd;
@@ -48,18 +47,15 @@ int main(int argc, char** argv) {
   // Principal values = singular values of the centered data matrix. The
   // SvdInfo out-param reports how the solve went (docs/ROBUSTNESS.md):
   // whether the input was pre-scaled and whether any degraded path ran.
-  // Tile size through the autotuner's 0-sentinel (tools/autotune writes
-  // the calibration it resolves from; 32 is the uncalibrated fallback).
+  // A 32-wide tile keeps several tile columns on the 96-feature default.
   // hardware_concurrency() may return 0 (unknown): the option contract
   // requires nthreads >= 1, so clamp before handing it to the executor.
   GesvdOptions opts;
-  opts.nb = tune::resolved_nb(0, sizeof(double), 32);
+  opts.nb = 32;
   opts.ge2bnd.alg = BidiagAlg::Auto;  // tall-and-skinny -> R-BIDIAG
   opts.ge2bnd.nthreads = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
-  std::printf("nb = %d (%s), %d threads\n", opts.nb,
-              tune::active() ? "calibrated" : "default",
-              opts.ge2bnd.nthreads);
+  std::printf("nb = %d, %d threads\n", opts.nb, opts.ge2bnd.nthreads);
   SvdInfo info;
   WallTimer full_timer;
   const auto sv = gesvd_values(X.cview(), opts, nullptr, &info);

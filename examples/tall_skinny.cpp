@@ -2,12 +2,8 @@
 // VI.C): times both algorithms across aspect ratios, showing R-BIDIAG's
 // takeover, and prints the critical-path crossover delta_s for the same
 // tile geometry. Also factors the tallest case through the TSQR driver
-// under each reduction tree (src/rsvd/tsqr.hpp).
-//
-// Tile geometry comes from the autotuner's 0-sentinels: run
-// tools/autotune once and the resolved nb/ib below pick up the
-// calibrated values automatically; without a calibration they resolve to
-// the historical 64/16.
+// under each reduction tree (src/rsvd/tsqr.hpp). Tiles are nb = 64,
+// ib = 16.
 //
 //   ./tall_skinny [n] [max_ratio]
 #include <algorithm>
@@ -24,7 +20,6 @@
 #include "kernels/qr_kernels.hpp"
 #include "rsvd/tsqr.hpp"
 #include "tile/matrix_gen.hpp"
-#include "tune/tune.hpp"
 
 int main(int argc, char** argv) {
   using namespace tbsvd;
@@ -34,19 +29,18 @@ int main(int argc, char** argv) {
   // option contract requires nthreads >= 1, so clamp before use.
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
-  const int nb = tune::resolved_nb(0, sizeof(double), 64);
-  const int ib = std::min(tune::resolved_ib(0, sizeof(double), 16), nb);
+  const int nb = 64;
+  const int ib = 16;
 
-  std::printf("n = %d fixed, m = ratio * n, nb = %d, ib = %d (%s), "
-              "%d threads\n",
-              n, nb, ib, tune::active() ? "calibrated" : "defaults", hw);
+  std::printf("n = %d fixed, m = ratio * n, nb = %d, ib = %d, %d threads\n",
+              n, nb, ib, hw);
   std::printf("%8s %14s %14s %10s\n", "m/n", "BiDiag GF/s", "R-BiDiag GF/s",
               "winner");
   for (int ratio = 1; ratio <= max_ratio; ratio *= 2) {
     const int m = ratio * n;
     double gf[2];
     for (int a = 0; a < 2; ++a) {
-      // Padded tiling: the tuned nb need not divide the problem size.
+      // Padded tiling: nb need not divide the problem size.
       TileMatrix A =
           tile_from_dense_padded(generate_random(m, n, 5 + ratio).cview(), nb);
       Ge2bndOptions opt;

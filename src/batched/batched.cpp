@@ -15,18 +15,15 @@
 #include "lac/qr_rec.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/task_graph.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd::batched {
 
 namespace {
 
-/// Fallback minor-extent cutoff for the direct (preQR + GEBRD + BD2VAL)
-/// per-problem SVD path — the hand-tuned value used when neither
-/// BatchOptions::direct_max_cols nor an active calibration's probed
-/// crossover overrides it. Below the cutoff, the tiled pipeline's fixed
-/// costs dominate and going direct is a ~3x win; above it the tiled
-/// two-stage reduction takes over.
+/// Built-in minor-extent cutoff for the direct (preQR + GEBRD + BD2VAL)
+/// per-problem SVD path, used when BatchOptions::direct_max_cols is 0.
+/// Below the cutoff, the tiled pipeline's fixed costs dominate and going
+/// direct is a ~3x win; above it the tiled two-stage reduction takes over.
 constexpr int kDirectMaxCols = 48;
 
 /// Per-worker scratch, sized once per batch for the largest problem and
@@ -154,10 +151,9 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
   validate_opts(opts);
   TBSVD_CHECK(opts.svd_nb >= 1, "batched::svd: svd_nb must be >= 1");
   TBSVD_CHECK(opts.direct_max_cols >= 0,
-              "batched::svd: direct_max_cols must be >= 0 (0 = tuned)");
-  // Direct-vs-tiled crossover: explicit option > calibration probe > 48.
-  const int direct_max_cols = tune::resolved_direct_max_cols(
-      opts.direct_max_cols, static_cast<int>(sizeof(T)), kDirectMaxCols);
+              "batched::svd: direct_max_cols must be >= 0 (0 = default)");
+  const int direct_max_cols =
+      opts.direct_max_cols > 0 ? opts.direct_max_cols : kDirectMaxCols;
   const std::size_t np = problems.size();
   SvdBatchResult res;
   res.values.resize(np);

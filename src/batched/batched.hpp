@@ -46,9 +46,7 @@ struct BatchOptions {
   int svd_nb = 16;
   /// Minor-extent cutoff below which a batch member takes the direct
   /// (preQR + GEBRD + BD2VAL) SVD path instead of the tiled pipeline.
-  /// 0 resolves to the active calibration's probed crossover
-  /// (tune::resolved_direct_max_cols) and to the hand-tuned 48 when no
-  /// calibration is loaded; > 0 is an explicit override.
+  /// 0 = the built-in 48; > 0 is an explicit override.
   int direct_max_cols = 0;
 };
 

@@ -47,7 +47,6 @@ const std::vector<const char*>& all_sites() {
       "band.bd2val.force_stall",     // dqds skipped as if out of budget
       "runtime.scheduler.task_fail", // a scheduled task throws
       "batched.problem_poison",      // one problem of a batch fails typed
-      "tune.load_poison",            // calibration file parse fails typed
       "rsvd.sketch_poison",          // NaN into the Gaussian sketch pre-TSQR
   };
   return sites;

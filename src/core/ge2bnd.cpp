@@ -8,11 +8,13 @@
 #include "kernels/lq_kernels.hpp"
 #include "kernels/qr_kernels.hpp"
 #include "kernels/tgrid.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd {
 
 namespace {
+
+// Built-in inner blocking of the Ge2bndOptions::ib = 0 sentinel.
+constexpr int kDefaultIb = 32;
 
 // Resolves a symbolic TileAccess to the concrete tile base pointer.
 template <class T>
@@ -124,18 +126,16 @@ ExecResult execute_tile_ops(TileMatrixT<T>& A, const std::vector<TileOp>& ops,
   GridSet<T> grids{&A, &tf.tqts, &tf.tqtt, &tf.tlts, &tf.tltt};
 
   // Ready tasks run critical-path first: each task's priority is its
-  // upward rank in this graph, weighted by the active calibration's
-  // measured kernel seconds when one is loaded and by the paper's Table-I
-  // units otherwise. Priorities only order ready tasks, so the result is
-  // bit-identical whatever the weights.
-  const OpCost cost = tune::active_op_cost(static_cast<int>(sizeof(T)));
+  // upward rank in this graph, weighted by the paper's Table-I units.
+  // Priorities only order ready tasks, so the result does not depend on
+  // the weights.
   std::vector<double> weight(ops.size());
   TaskGraph graph;
   std::vector<TileAccess> acc;
   std::vector<DataRef> refs;
   for (std::size_t id = 0; id < ops.size(); ++id) {
     const TileOp& t = ops[id];
-    weight[id] = cost ? cost(t) : op_weight_units(t.op);
+    weight[id] = op_weight_units(t.op);
     acc.clear();
     op_accesses(t, acc);
     refs.clear();
@@ -165,7 +165,7 @@ template <class T>
 ExecResult ge2bnd(TileMatrixT<T>& A, const Ge2bndOptions& opt) {
   const int p = A.mt(), q = A.nt();
   TBSVD_CHECK(p >= q && q >= 1, "ge2bnd requires p >= q >= 1 tiles");
-  TBSVD_CHECK(opt.ib >= 0, "ge2bnd: need ib >= 0 (0 = tuned/default)");
+  TBSVD_CHECK(opt.ib >= 0, "ge2bnd: need ib >= 0 (0 = default)");
   TBSVD_CHECK(opt.nthreads >= 1, "ge2bnd: need nthreads >= 1");
   TBSVD_CHECK(opt.gamma > 0.0, "ge2bnd: need gamma > 0");
   // A NaN/Inf anywhere poisons the whole reduction (Householder norms and
@@ -189,8 +189,7 @@ ExecResult ge2bnd(TileMatrixT<T>& A, const Ge2bndOptions& opt) {
       use_r ? build_rbidiag_ops(p, q, cfg) : build_bidiag_ops(p, q, cfg);
 
   ExecOptions eo;
-  const int ib =
-      tune::resolved_ib(opt.ib, static_cast<int>(sizeof(T)), /*fallback=*/32);
+  const int ib = opt.ib > 0 ? opt.ib : kDefaultIb;
   eo.ib = std::min(ib, A.nb());  // nb caps the useful inner blocking
   eo.nthreads = opt.nthreads;
   return execute_tile_ops<T>(A, ops, eo);

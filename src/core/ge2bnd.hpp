@@ -57,8 +57,7 @@ struct Ge2bndOptions {
   TreeKind qr_tree = TreeKind::Greedy;
   TreeKind lq_tree = TreeKind::Greedy;
   BidiagAlg alg = BidiagAlg::Bidiag;
-  /// Inner blocking; 0 resolves to the active calibration's tuned value
-  /// (tune::resolved_ib) and to the historical 32 when none is loaded.
+  /// Inner blocking; 0 = the built-in 32.
   int ib = 0;
   int nthreads = 1;
   double gamma = 2.0;  ///< Auto-tree parallelism target multiplier

@@ -1,6 +1,5 @@
 #include "core/svd.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "band/band_matrix.hpp"
@@ -9,23 +8,13 @@
 #include "common/fault.hpp"
 #include "common/hazard.hpp"
 #include "common/timer.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd {
 
 namespace {
 
-// Tile size for a dense n-column input: explicit opts.nb wins; the 0
-// sentinel takes the calibration's tuned nb (else the historical 64),
-// capped near n so a large tuned tile never makes a small problem pad up
-// to a mostly-empty tile grid.
-template <class T>
-int resolve_dense_nb(int requested, int n) {
-  const int nb = tune::resolved_nb(requested, static_cast<int>(sizeof(T)),
-                                   /*fallback=*/64);
-  if (requested > 0) return nb;
-  return std::max(1, std::min(nb, std::max(64, n)));
-}
+// Built-in tile size of the GesvdOptions::nb = 0 sentinel.
+constexpr int kDefaultNb = 64;
 
 }  // namespace
 
@@ -44,7 +33,7 @@ std::vector<double> gesvd_values(ConstMatrixViewT<T> A,
   // dgesvd protocol: scan the input once, scale the padded tiles in place
   // so the reduction squares nothing out of range, unscale on exit.
   const SafeScaling<T> guard(A, "gesvd_values");
-  const int nb = resolve_dense_nb<T>(opts.nb, A.n);
+  const int nb = opts.nb > 0 ? opts.nb : kDefaultNb;
   TileMatrixT<T> tiles = tile_from_dense_padded<T>(A, nb);
   for (int j = 0; j < tiles.nt(); ++j) {
     for (int i = 0; i < tiles.mt(); ++i) guard.scale(tiles.tile(i, j));

@@ -27,10 +27,7 @@ struct GesvdOptions {
   /// GE2BND's options; ge2bnd.nthreads also bounds BND2BD's sweep
   /// pipeline (band/bnd2bd.hpp), whose result does not depend on it.
   Ge2bndOptions ge2bnd;
-  /// Tile size used when tiling a dense input; 0 resolves to the active
-  /// calibration's tuned nb (capped near the problem size so small inputs
-  /// never pad up to a large tuned tile) and to the historical 64 when no
-  /// calibration is loaded.
+  /// Tile size used when tiling a dense input; 0 = the built-in 64.
   int nb = 0;
   Bd2valOptions bd2val;
 };

@@ -5,14 +5,8 @@
 
 #include "common/check.hpp"
 #include "runtime/task_graph.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd {
-
-int DistSimParams::resolved_nb() const noexcept {
-  return tune::resolved_nb(nb, static_cast<int>(sizeof(double)),
-                           /*fallback=*/160);
-}
 
 DistSimResult simulate_distributed(const std::vector<TileOp>& ops,
                                    const Distribution& dist,

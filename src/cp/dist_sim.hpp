@@ -14,13 +14,14 @@ struct DistSimParams {
   int cores_per_node = 24;     ///< miriel: 2x12-core Haswell
   double alpha = 2.0e-6;       ///< per-message latency (s)
   double beta = 1.0 / 4.0e9;   ///< inverse bandwidth (s/byte); QDR ~40Gb/s
-  /// Tile size (message = nb*nb doubles); 0 resolves to the active
-  /// calibration's tuned f64 tile and to the paper's 160 when none is
-  /// loaded (see resolved_nb).
+  /// Built-in tile size: the paper's tuned 160.
+  static constexpr int kDefaultNb = 160;
+  /// Tile size (message = nb*nb doubles); 0 = kDefaultNb.
   int nb = 0;
-  /// The tile size actually simulated: nb if explicitly set, else tuned
-  /// or the paper's 160.
-  [[nodiscard]] int resolved_nb() const noexcept;
+  /// The tile size actually simulated: nb if explicitly set, else 160.
+  [[nodiscard]] int resolved_nb() const noexcept {
+    return nb > 0 ? nb : kDefaultNb;
+  }
   double tile_bytes() const {
     const double n = resolved_nb();
     return 8.0 * n * n;

@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "lac/blas.hpp"
 #include "runtime/task_graph.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd {
 
@@ -169,7 +168,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   TBSVD_CHECK(opts.power_iters >= 0,
               "gesvd_truncated: power_iters must be >= 0");
   TBSVD_CHECK(opts.nb >= 0 && opts.ib >= 0,
-              "gesvd_truncated: nb/ib must be >= 0 (0 = tuned)");
+              "gesvd_truncated: nb/ib must be >= 0 (0 = default)");
   TBSVD_CHECK(opts.nthreads >= 1, "gesvd_truncated: nthreads must be >= 1");
 
   const int m = A.m, n = A.n;
@@ -191,7 +190,7 @@ TruncatedSvdT<T> gesvd_truncated(ConstMatrixViewT<T> A, int k,
   const int nt = opts.nthreads;
 
   const int oversample =
-      tune::resolved_oversample(opts.oversample, kDefaultOversample);
+      opts.oversample > 0 ? opts.oversample : kDefaultOversample;
   const int l = std::min(n, k + oversample);
 
   // Gaussian sketch: Y = A * Omega picks up a basis of A's dominant range

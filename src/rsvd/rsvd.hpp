@@ -24,8 +24,7 @@
 // relative on top-k values of low-rank-plus-noise inputs in double. Raise
 // power_iters to 2+ for nearly flat spectra (each iteration doubles the
 // residual decay exponent at the cost of two more A-products + TSQRs);
-// oversample = 0 resolves through tune::resolved_oversample (today the
-// built-in 8; the single hook a future calibration probe plugs into).
+// oversample = 0 selects the built-in 8.
 //
 // Hazard contract (docs/ROBUSTNESS.md), the full drivers' SafeScaling
 // guard: NaN/Inf
@@ -47,7 +46,7 @@
 namespace tbsvd {
 
 struct GesvdTruncatedOptions {
-  /// Extra sketch columns beyond k; 0 resolves to the library default (8).
+  /// Extra sketch columns beyond k; 0 = the built-in 8.
   int oversample = 0;
   /// Subspace (power) iterations; each one multiplies the residual decay
   /// exponent by 2 at the cost of two more A-products + TSQRs. The
@@ -57,7 +56,7 @@ struct GesvdTruncatedOptions {
   std::uint64_t seed = 0x5EEDBA5EDULL;
   TreeKind tree = TreeKind::Greedy;  ///< TSQR reduction tree
   int nb = 0;        ///< TSQR tile size (0 = tsqr.hpp's sketch-width rule)
-  int ib = 0;        ///< inner blocking (0 = tuned)
+  int ib = 0;        ///< inner blocking (0 = the built-in 32)
   int nthreads = 1;  ///< executor workers (>= 1)
   /// Also form the truncated factors: U (m x k) and V (n x k) with
   /// A ~= U diag(values) V^T.

@@ -10,26 +10,26 @@
 #include "kernels/qr_kernels.hpp"
 #include "lac/blas.hpp"
 #include "runtime/task_graph.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd {
 
 namespace {
 
+// Built-in tile width and inner blocking behind the TsqrOptions 0 sentinels.
+constexpr int kDefaultNb = 64;
+constexpr int kDefaultIb = 32;
+
 // Explicit nb wins. The 0 sentinel splits the panel into the tile count
-// nearest n / (tuned nb), then takes the narrowest tile that covers it
+// nearest n / kDefaultNb, then takes the narrowest tile that covers it
 // (rounded up for kernel alignment, floored at 16 so tiles stay
 // efficient). Every tile kernel costs O(nb^3) whether or not its columns
 // are real, so a 72-wide sketch panel gets one 72-wide tile rather than
 // 64 + 64 (88% of the second tile padding), a 40-wide one stays 40, and
-// a 256-wide one keeps the tuned 64.
-template <class T>
+// a 256-wide one keeps 64.
 int resolve_tsqr_nb(int requested, int n) {
-  const int nb = tune::resolved_nb(requested, static_cast<int>(sizeof(T)),
-                                   /*fallback=*/64);
-  if (requested > 0) return nb;
+  if (requested > 0) return requested;
   const int q = std::max(
-      1, static_cast<int>(std::lround(static_cast<double>(n) / nb)));
+      1, static_cast<int>(std::lround(static_cast<double>(n) / kDefaultNb)));
   const int width = (n + q - 1) / q;
   return std::max(16, ((width + 7) / 8) * 8);
 }
@@ -109,7 +109,7 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts) {
               "tsqr requires m >= n >= 1 (tall-skinny; transpose first)");
   TBSVD_CHECK(A.a != nullptr && A.ld >= A.m, "tsqr: invalid input view");
   TBSVD_CHECK(opts.nb >= 0 && opts.ib >= 0,
-              "tsqr: nb/ib must be >= 0 (0 = tuned)");
+              "tsqr: nb/ib must be >= 0 (0 = default)");
   TBSVD_CHECK(opts.nthreads >= 1, "tsqr: nthreads must be >= 1");
   if (!all_finite<T>(A)) {
     throw numerical_hazard_error("tsqr: non-finite entry in input");
@@ -118,12 +118,10 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts) {
   TsqrFactorsT<T> f;
   f.m = A.m;
   f.n = A.n;
-  const int nb = resolve_tsqr_nb<T>(opts.nb, A.n);
+  const int nb = resolve_tsqr_nb(opts.nb, A.n);
   f.A = tile_from_dense_padded<T>(A, nb);
   const int p = f.A.mt(), q = f.A.nt();
-  f.ib = std::min(
-      tune::resolved_ib(opts.ib, static_cast<int>(sizeof(T)), /*fallback=*/32),
-      nb);
+  f.ib = std::min(opts.ib > 0 ? opts.ib : kDefaultIb, nb);
 
   AlgConfig cfg;
   cfg.qr_tree = opts.tree;

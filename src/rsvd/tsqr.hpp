@@ -44,15 +44,13 @@ struct TsqrOptions {
   /// Reduction tree combining the per-panel tile rows (paper Section III).
   TreeKind tree = TreeKind::Greedy;
   /// Tile size; an explicit value wins. 0 splits the n panel columns into
-  /// q = max(1, round(n / tuned nb)) tile columns and takes
-  /// nb = max(16, n / q rounded up to a multiple of 8), where the tuned nb
-  /// is the active calibration's, or 64 when none is loaded. Tile kernels
-  /// cost O(nb^3) whether or not the columns are real, so a sketch panel
-  /// must not pad up to a mostly empty tile: 72 columns give one 72-wide
-  /// tile, 100 give two of 56, 40 stay 40, and 256 keep 64.
+  /// q = max(1, round(n / 64)) tile columns (64 is the built-in tile
+  /// width) and takes nb = max(16, n / q rounded up to a multiple of 8).
+  /// Tile kernels cost O(nb^3) whether or not the columns are real, so a
+  /// sketch panel must not pad up to a mostly empty tile: 72 columns give
+  /// one 72-wide tile, 100 give two of 56, 40 stay 40, and 256 keep 64.
   int nb = 0;
-  /// Inner blocking; 0 resolves to the tuned ib (historical 32), capped
-  /// at nb.
+  /// Inner blocking; 0 = the built-in 32, capped at nb.
   int ib = 0;
   int nthreads = 1;    ///< executor workers (>= 1)
   double gamma = 2.0;  ///< Auto-tree parallelism target multiplier

@@ -1,12 +1,11 @@
 // Measured per-kernel timing: the cost model that turns schedule simulation
-// and critical-path analysis into wall-clock predictions, and the raw
-// material of the first-run autotuner (tune/tune.hpp).
+// and critical-path analysis into wall-clock predictions.
 //
 // calibrate_kernels times the six tile-kernel families at one (nb, ib) on
 // the current machine; measured_cost wraps the resulting table as an OpCost
-// for cp/dag_analysis, cp/crossover and cp/dist_sim. Promoted out of
-// bench/bench_common.hpp so the library itself (autotune, tuned scheduler
-// priorities) can calibrate, not just the benches.
+// for cp/dag_analysis, cp/crossover and cp/dist_sim. Only the benches price
+// ops by measured cost; the executor ranks ready tasks by the Table-I
+// units (op_weight_units).
 #pragma once
 
 #include <map>
@@ -26,8 +25,8 @@ std::map<Op, double> calibrate_kernels(int nb, int ib, int reps = 3);
 /// Cost model from a calibration table (value-captured copy).
 [[nodiscard]] OpCost measured_cost(const std::map<Op, double>& table);
 
-/// Measured GEMM (NN, nb x nb x nb) throughput in GFlop/s — the backend
-/// rate the calibration file records next to the kernel table.
+/// Measured GEMM (NN, nb x nb x nb) throughput in GFlop/s, the backend
+/// rate the kernel times are compared against.
 template <class T = double>
 double calibrate_gemm_gflops(int nb, int reps = 3);
 

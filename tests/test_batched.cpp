@@ -278,6 +278,25 @@ TEST(BatchedFault, SchedulerInfrastructureFailureStaysTyped) {
   EXPECT_THROW(batched::svd<double>(views, opts), internal_error);
 }
 
+TEST(Batched, ExplicitDirectCutoffIsHonored) {
+  // direct_max_cols = 64 sends a 56-column problem, tiled under the
+  // built-in 48, down the direct path: same spectrum, different rounding.
+  const Matrix A = test::random_matrix(72, 56, 21);
+  const auto ref = gesvd_values(A.cview(), GesvdOptions{});
+  const std::vector<ConstMatrixView> probs = {A.cview()};
+  batched::BatchOptions direct;
+  direct.direct_max_cols = 64;
+  const batched::SvdBatchResult res = batched::svd<double>(probs, direct);
+  const batched::SvdBatchResult tiled = batched::svd<double>(probs);
+  ASSERT_TRUE(res.all_ok());
+  ASSERT_TRUE(tiled.all_ok());
+  ASSERT_EQ(res.values[0].size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_NEAR(res.values[0][i], ref[i], 1e-8 * (1.0 + ref[0]));
+  }
+  EXPECT_NE(res.values[0], tiled.values[0]);
+}
+
 TEST(Batched, BatchLevelMisuseThrows) {
   std::vector<ConstMatrixView> views;
   batched::BatchOptions bad;

@@ -271,6 +271,27 @@ TEST(Gesvd, RbidiagAndBidiagAgree) {
   }
 }
 
+TEST(Gesvd, ZeroSentinelsResolveToBuiltInTileSizes) {
+  // GesvdOptions{} (nb = 0, ib = 0) is bitwise the explicit nb = 64,
+  // ib = 32 solve; an explicit nb wins over the default.
+  const Matrix A = generate_random(96, 80, 11);
+  GesvdOptions builtin;
+  builtin.nb = 64;
+  builtin.ge2bnd.ib = 32;
+  GesvdTimings t_default, t_builtin, t_small;
+  const auto sv_default = gesvd_values(A.cview(), GesvdOptions{}, &t_default);
+  const auto sv_builtin = gesvd_values(A.cview(), builtin, &t_builtin);
+  ASSERT_EQ(sv_default.size(), sv_builtin.size());
+  for (std::size_t i = 0; i < sv_default.size(); ++i) {
+    EXPECT_EQ(sv_default[i], sv_builtin[i]) << "sv " << i;
+  }
+  EXPECT_EQ(t_default.ge2bnd_tasks, t_builtin.ge2bnd_tasks);
+  GesvdOptions small;
+  small.nb = 32;
+  (void)gesvd_values(A.cview(), small, &t_small);
+  EXPECT_GT(t_small.ge2bnd_tasks, t_default.ge2bnd_tasks);
+}
+
 TEST(AlgGen, OpCountsMatchClosedForms) {
   // FlatTS QR step k on u rows with t trailing columns:
   // 1 GEQRT + (u-1) TSQRT panels, t UNMQR + (u-1) t TSMQR updates.

@@ -356,6 +356,14 @@ TEST(DistSim, SingleNodeMatchesSharedMemorySim) {
   EXPECT_EQ(dr.cross_edges, 0u);
 }
 
+TEST(DistSim, TileSizeDefaultsToPaper160AndExplicitWins) {
+  DistSimParams p;
+  EXPECT_EQ(p.resolved_nb(), 160);
+  EXPECT_DOUBLE_EQ(p.tile_bytes(), 8.0 * 160 * 160);
+  p.nb = 96;
+  EXPECT_EQ(p.resolved_nb(), 96);
+}
+
 TEST(DistSim, CommunicationCostsSlowThingsDown) {
   AlgConfig cfg;
   cfg.qr_tree = cfg.lq_tree = TreeKind::Greedy;

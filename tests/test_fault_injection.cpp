@@ -18,7 +18,6 @@
 #include "rsvd/rsvd.hpp"
 #include "runtime/task_graph.hpp"
 #include "test_harness.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd {
 namespace {
@@ -147,37 +146,6 @@ Outcome classify_rsvd(const Matrix& A, const std::vector<double>& rref) {
   return r.info.status == Status::Ok ? Outcome::Success : Outcome::Degraded;
 }
 
-// tune.* sites live in the calibration-file load path, not the solve
-// pipeline; they sweep through parse_calibration on a well-formed file.
-// The contract: a poisoned load throws typed (invalid_argument_error) —
-// the library's implicit active() path then records the flagged fallback
-// instead of silently adopting defaults.
-bool tune_site(const char* site) {
-  return std::strncmp(site, "tune.", 5) == 0;
-}
-
-Outcome classify_tune() {
-  tune::Calibration c;
-  c.host = tune::host_fingerprint();
-  tune::PrecisionCalib p;
-  p.dtype = "f64";
-  p.nb = 64;
-  p.ib = 16;
-  p.direct_max_cols = 48;
-  for (int op = 0; op <= static_cast<int>(Op::LASET); ++op) {
-    p.kernel_seconds[static_cast<Op>(op)] = 1e-4;
-  }
-  c.precisions.push_back(p);
-  const std::string text = tune::serialize_calibration(c);
-  try {
-    const tune::Calibration parsed = tune::parse_calibration(text);
-    if (parsed.precisions.size() != 1) return Outcome::SilentGarbage;
-  } catch (const invalid_argument_error&) {
-    return Outcome::TypedError;
-  }
-  return Outcome::Success;
-}
-
 TEST(FaultSweep, EverySiteFailsSafe) {
   const Matrix A = test::random_matrix(48, 32, 1337);
   const std::vector<double> ref = gesvd_values(A.cview(), sweep_opts());
@@ -186,10 +154,9 @@ TEST(FaultSweep, EverySiteFailsSafe) {
   for (const char* site : fault::all_sites()) {
     SCOPED_TRACE(site);
     fault::Scoped armed(site);
-    const Outcome out = tune_site(site)      ? classify_tune()
-                        : batched_site(site) ? classify_batched(A, ref)
-                        : rsvd_site(site)    ? classify_rsvd(A, rref)
-                                             : classify(A, ref);
+    const Outcome out = batched_site(site) ? classify_batched(A, ref)
+                        : rsvd_site(site)  ? classify_rsvd(A, rref)
+                                           : classify(A, ref);
     EXPECT_TRUE(fault::fired())
         << "armed site was never reached by the pipeline";
     EXPECT_NE(out, Outcome::SilentGarbage)
@@ -216,17 +183,15 @@ TEST(FaultSweep, SiteOutcomesMatchContract) {
       {"band.bd2val.force_stall", Outcome::Degraded},    // Sturm fallback
       {"runtime.scheduler.task_fail", Outcome::TypedError},
       {"batched.problem_poison", Outcome::TypedError},   // typed report
-      {"tune.load_poison", Outcome::TypedError},         // typed parse fail
       {"rsvd.sketch_poison", Outcome::TypedError},       // TSQR input scan
   };
   const std::vector<double> rref = rsvd_ref(A);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.site);
     fault::Scoped armed(c.site);
-    const Outcome out = tune_site(c.site)      ? classify_tune()
-                        : batched_site(c.site) ? classify_batched(A, ref)
-                        : rsvd_site(c.site)    ? classify_rsvd(A, rref)
-                                               : classify(A, ref);
+    const Outcome out = batched_site(c.site) ? classify_batched(A, ref)
+                        : rsvd_site(c.site)  ? classify_rsvd(A, rref)
+                                             : classify(A, ref);
     EXPECT_EQ(out, c.expected);
     EXPECT_TRUE(fault::fired());
   }

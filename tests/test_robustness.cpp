@@ -224,7 +224,7 @@ TEST(TypedErrors, ShapeViolationsAreInvalidArgument) {
   EXPECT_THROW(bd2val(std::vector<double>(4, 1.0), std::vector<double>(1)),
                invalid_argument_error);
   GesvdOptions bad = small_opts();
-  bad.nb = -1;  // 0 is the tuned-default sentinel; negative is still a shape error
+  bad.nb = -1;  // 0 is the default sentinel; negative is still a shape error
   Matrix B = test::random_matrix(8, 8, 2);
   EXPECT_THROW(gesvd_values(B.cview(), bad), invalid_argument_error);
   Bd2valOptions neg;

@@ -9,7 +9,6 @@
 // an unclamped hardware_concurrency() into the drivers).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -23,7 +22,6 @@
 #include "runtime/task_graph.hpp"
 #include "test_harness.hpp"
 #include "tile/matrix_gen.hpp"
-#include "tune/tune.hpp"
 
 namespace tbsvd {
 namespace {
@@ -164,29 +162,20 @@ TEST(Tsqr, ThreadedMatchesSerialBitwise) {
   }
 }
 
-// nb = 0 picks the tile count nearest n / (tuned nb) and the narrowest
-// 8-aligned tile covering it, so a sketch panel never pads up to a mostly
-// empty second tile; an explicit nb is kept.
+// nb = 0 picks the tile count nearest n / 64 and the narrowest 8-aligned
+// tile covering it, so a sketch panel never pads up to a mostly empty
+// second tile; an explicit nb is kept.
 TEST(Tsqr, SketchWidthTileRule) {
-  const int tuned = tune::resolved_nb(0, static_cast<int>(sizeof(double)),
-                                      /*fallback=*/64);
   struct Case {
-    int n, q, nb;  // q x nb: the expected tiling at the uncalibrated 64
+    int n, q, nb;  // q x nb: the expected tiling
   };
   for (const Case c : {Case{40, 1, 40}, Case{72, 1, 72}, Case{100, 2, 56},
                        Case{256, 4, 64}}) {
     SCOPED_TRACE("n = " + std::to_string(c.n));
     const Matrix A = random_matrix(4 * c.n, c.n, 90 + c.n);
     const TsqrFactors f = tsqr<double>(A.cview(), {});
-    const int q = f.A.nt(), nb = f.A.nb();
-    if (tuned == 64) {
-      EXPECT_EQ(q, c.q);
-      EXPECT_EQ(nb, c.nb);
-    } else {  // a calibration is loaded: check the rule itself
-      EXPECT_EQ(q, std::max(1, static_cast<int>(std::lround(
-                                   static_cast<double>(c.n) / tuned))));
-      EXPECT_EQ(nb, std::max(16, ((c.n + q - 1) / q + 7) / 8 * 8));
-    }
+    EXPECT_EQ(f.A.nt(), c.q);
+    EXPECT_EQ(f.A.nb(), c.nb);
   }
   const Matrix A = random_matrix(288, 72, 91);
   TsqrOptions explicit_nb;

@@ -3,12 +3,16 @@
 // integrity, and dependency-structure unit checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "core/alg_gen.hpp"
+#include "core/tile_ops.hpp"
+#include "cp/dag_analysis.hpp"
 #include "runtime/task_graph.hpp"
 
 namespace tbsvd {
@@ -255,6 +259,30 @@ TEST(UpwardRank, TaskGraphRanksItsOwnSuccessors) {
   const std::vector<int> want =
       rank_priorities(std::vector<double>{18, 8, 14, 2});
   for (int i = 0; i < 4; ++i) EXPECT_EQ(g.priority(i), want[i]) << i;
+}
+
+TEST(UpwardRank, CpPrioritiesRankCriticalPathFirst) {
+  // The executor's ranking of a BIDIAG graph: Table-I weights over the
+  // runtime's DAG.
+  AlgConfig cfg;
+  const auto ops = build_bidiag_ops(4, 3, cfg);
+  std::vector<std::vector<int>> preds;
+  build_dag(ops, preds);
+  std::vector<std::vector<int>> succs(ops.size());
+  std::vector<double> weight(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    weight[i] = op_weight_units(ops[i].op);
+    for (int p : preds[i]) succs[p].push_back(static_cast<int>(i));
+  }
+  const std::vector<int> ranks = rank_priorities(ranks_of(weight, succs));
+  ASSERT_EQ(ranks.size(), ops.size());
+  // The first panel starts every chain, so it carries the maximal rank;
+  // the final op ends one, so it carries the minimal positive rank.
+  const int max_rank = *std::max_element(ranks.begin(), ranks.end());
+  EXPECT_EQ(ranks.front(), max_rank);
+  EXPECT_EQ(max_rank, 1 << 20);
+  EXPECT_LE(ranks.back(), ranks.front());
+  for (const int r : ranks) EXPECT_GE(r, 0);
 }
 
 TEST(TaskGraph, CannotRunTwice) {
