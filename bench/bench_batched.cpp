@@ -3,9 +3,10 @@
 // against the serial baseline a naive server would run — one
 // gesvd_values call per problem with default (large-matrix) options. The
 // batched path wins by amortizing workspace and dispatch across the batch
-// and by right-sizing the tile grid to the problem (the default nb = 64
-// pads a 32-column problem to a full 64x64 tile); the acceptance target
-// for this series is >= 3x the serial loop at batch >= 256 on the
+// and by solving each problem untiled (Chan preQR + one-stage GEBRD +
+// BD2VAL in a worker arena) where the serial loop pads a 16-column problem
+// to a full 64x64 tile and runs the two-stage pipeline; the acceptance
+// target for this series is >= 3x the serial loop at batch >= 256 on the
 // 4-thread row, both dtypes. Emits BENCH_batched.json (picked up by
 // bench/history/record.sh).
 #include <cstdio>
@@ -100,10 +101,8 @@ void run_svd_series(bool smoke, std::vector<Record>& recs) {
         const auto res = batched::svd<T>(views, opts);
         bench::benchmark_keep(res.values);
       });
-      Record r;
+      Record r;  // nb = ib = 0: the members run untiled
       r.name = "batched_svd" + suffix + "_t" + std::to_string(nt);
-      r.nb = opts.svd_nb;
-      r.ib = 8;
       r.m = m;
       r.n = n;
       r.seconds = t_batch;

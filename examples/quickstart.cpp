@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   opts.ge2bnd.nthreads = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
   GesvdTimings t;
-  const auto sv = gesvd_values(A.cview(), opts, &t);
+  SvdInfo info;
+  const auto sv = gesvd_values(A.cview(), opts, &t, &info);
 
   // 3. Compare with the prescribed spectrum.
   double max_err = 0.0;
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   std::printf("max |error|  : %.3e\n", max_err);
   std::printf("timings      : GE2BND %.3fs (%zu tasks), BND2BD %.3fs, "
               "BD2VAL %.3fs\n",
-              t.ge2bnd_seconds, t.ge2bnd_tasks, t.bnd2bd_seconds,
+              t.ge2bnd_seconds, info.ge2bnd_tasks, t.bnd2bd_seconds,
               t.bd2val_seconds);
   return max_err < 1e-8 * prescribed[0] ? 0 : 1;
 }

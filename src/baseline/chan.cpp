@@ -13,6 +13,11 @@ bool chan_uses_preqr(int m, int n) {
   return 5LL * m >= 6LL * n;  // m >= 1.2 n, exact in integers
 }
 
+namespace {
+
+/// The preQR-to-R step: factors s (m >= n >= 1) in place through the
+/// recursive panel and returns its n x n R as a view over rbuf (upper
+/// triangle copied, zero below).
 template <class T>
 MatrixViewT<T> chan_preqr(MatrixViewT<T> s, T* tfac, T* rbuf) {
   const int n = s.n;
@@ -28,6 +33,8 @@ MatrixViewT<T> chan_preqr(MatrixViewT<T> s, T* tfac, T* rbuf) {
   }
   return r;
 }
+
+}  // namespace
 
 template <class T>
 std::vector<T> chan_stage_values(MatrixViewT<T> s, T* tfac, T* rbuf,
@@ -61,7 +68,6 @@ std::vector<double> chan_singular_values(ConstMatrixViewT<T> A,
 }
 
 #define TBSVD_INSTANTIATE_CHAN(T)                                          \
-  template MatrixViewT<T> chan_preqr<T>(MatrixViewT<T>, T*, T*);           \
   template std::vector<T> chan_stage_values<T>(                            \
       MatrixViewT<T>, T*, T*, const GebrdOptions&, const Bd2valOptions&,   \
       Bd2valInfo*);                                                        \

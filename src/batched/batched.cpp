@@ -20,17 +20,11 @@ namespace tbsvd::batched {
 
 namespace {
 
-/// Built-in minor-extent cutoff for the direct (preQR + GEBRD + BD2VAL)
-/// per-problem SVD path, used when BatchOptions::direct_max_cols is 0.
-/// Below the cutoff, the tiled pipeline's fixed costs dominate and going
-/// direct is a ~3x win; above it the tiled two-stage reduction takes over.
-constexpr int kDirectMaxCols = 48;
-
 /// Per-worker scratch, sized once per batch for the largest problem and
 /// reused across every problem the worker serves. The carved regions cover
-/// the batch layer's staging (transpose of wide problems, R-first copies,
-/// T factors); `work` is the grow-once block-reflector workspace larfb
-/// reuses across problems.
+/// the batch layer's staging (a copy or transpose of the problem, the
+/// preQR's T factor and R); `work` is the grow-once block-reflector
+/// workspace larfb reuses across problems.
 template <class T>
 struct WorkerArena {
   tbsvd::detail::AlignedWorkspace<T> buf;
@@ -79,34 +73,31 @@ Status classify_current_exception(std::string& msg) {
   }
 }
 
-/// Dispatches `solve(i, arena)` over the batch through the task runtime:
-/// problems are chunked so each task amortizes scheduler overhead, chunks
-/// carry no mutual dependencies (pure fan-out, stealable), and a throwing
-/// problem is caught and reported without poisoning its chunk neighbors or
-/// aborting the graph.
 /// Batch-level misuse throws (fault contract: only per-problem failures
 /// are absorbed into reports). Validated before any early return so a bad
 /// BatchOptions is rejected even for an empty batch.
 void validate_opts(const BatchOptions& opts) {
   TBSVD_CHECK(opts.nthreads >= 1, "batched: nthreads must be >= 1");
-  TBSVD_CHECK(opts.chunk >= 0, "batched: chunk must be >= 0");
 }
 
+/// Dispatches `solve(i, arena)` over the batch through the task runtime:
+/// problems are grouped so each task amortizes scheduler overhead, tasks
+/// carry no mutual dependencies (pure fan-out, stealable), and a throwing
+/// problem is caught and reported without poisoning its task neighbors or
+/// aborting the graph.
 template <class T, class SolveOne>
 void run_batch(std::size_t nproblems, const BatchOptions& opts,
                std::vector<WorkerArena<T>>& arenas,
                std::vector<ProblemReport>& reports, SolveOne&& solve) {
   if (nproblems == 0) return;
-  std::size_t chunk = opts.chunk > 0
-      ? static_cast<std::size_t>(opts.chunk)
-      : std::max<std::size_t>(
-            1, nproblems / (static_cast<std::size_t>(opts.nthreads) * 8));
-  chunk = std::min<std::size_t>(chunk, 64);
+  // Several tasks per worker to steal, at most 64 problems per task.
+  const std::size_t per_task = std::clamp<std::size_t>(
+      nproblems / (static_cast<std::size_t>(opts.nthreads) * 8), 1, 64);
 
   TaskGraph g;
-  for (std::size_t start = 0; start < nproblems; start += chunk) {
-    const std::size_t end = std::min(nproblems, start + chunk);
-    g.submit("batched_chunk",
+  for (std::size_t start = 0; start < nproblems; start += per_task) {
+    const std::size_t end = std::min(nproblems, start + per_task);
+    g.submit("batched_problems",
              [&arenas, &reports, &solve, start, end] {
                const int w = current_worker();
                WorkerArena<T>& ar = arenas[w >= 0 ? w : 0];
@@ -149,11 +140,6 @@ template <class T>
 SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
                    const BatchOptions& opts) {
   validate_opts(opts);
-  TBSVD_CHECK(opts.svd_nb >= 1, "batched::svd: svd_nb must be >= 1");
-  TBSVD_CHECK(opts.direct_max_cols >= 0,
-              "batched::svd: direct_max_cols must be >= 0 (0 = default)");
-  const int direct_max_cols =
-      opts.direct_max_cols > 0 ? opts.direct_max_cols : kDirectMaxCols;
   const std::size_t np = problems.size();
   SvdBatchResult res;
   res.values.resize(np);
@@ -162,7 +148,7 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
   if (np == 0) return res;
 
   // Arena extents over the whole batch: staging holds one problem in its
-  // m >= n working orientation, tfac/rbuf the R-first factor pieces.
+  // m >= n working orientation, tfac/rbuf the preQR's T factor and R.
   std::size_t stage_elems = 0, sq_elems = 0;
   for (const ConstMatrixViewT<T>& p : problems) {
     // Negative dims are a per-problem error reported from the solve lambda;
@@ -180,8 +166,7 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
   }
 
   run_batch<T>(np, opts, arenas, res.reports,
-               [&problems, &res, &opts, direct_max_cols](std::size_t i,
-                                                         WorkerArena<T>& ar) {
+               [&problems, &res](std::size_t i, WorkerArena<T>& ar) {
     if (TBSVD_FAULT_FIRE("batched.problem_poison")) {
       throw numerical_hazard_error(
           "injected fault: batched problem poisoned");
@@ -195,55 +180,24 @@ SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
       throw invalid_argument_error("batched::svd: invalid problem view");
     }
 
-    // Work in the m >= n orientation (the spectrum is transpose-invariant);
-    // wide problems stage through the arena.
+    // Every member goes direct through the Chan staging on an arena copy
+    // in the m >= n orientation (the spectrum is transpose-invariant),
+    // which the guard scales. On one worker the tiled pipeline's padding,
+    // task setup and band detour cost more than they save at every member
+    // size measured (docs/PERF.md).
     const int mw = std::max(p.m, p.n), nw = std::min(p.m, p.n);
-    const bool wide = p.m < p.n;
-
     MatrixViewT<T> s(ar.stage, mw, nw, mw);
-    if (nw <= direct_max_cols) {
-      // Small-problem fast path: the tile pipeline's fixed costs (padding
-      // to nb multiples, per-tile task setup, the two-stage band detour)
-      // dominate at serving extents, so go direct through the Chan staging
-      // on the arena copy, which the guard scales.
-      const SafeScaling<T> guard(p, "batched::svd");
-      if (wide) {
-        transpose<T>(p, s);
-      } else {
-        copy<T>(p, s);
-      }
-      guard.scale(s);
-      Bd2valInfo bi;
-      res.values[i] = guard.finish(
-          chan_stage_values<T>(s, ar.tfac, ar.rbuf, {}, {}, &bi), bi,
-          &res.infos[i]);
-      res.reports[i].status = res.infos[i].status;
-      return;
-    }
-
-    ConstMatrixViewT<T> w = p;
-    if (wide) {
+    const SafeScaling<T> guard(p, "batched::svd");
+    if (p.m < p.n) {
       transpose<T>(p, s);
-      w = s;
+    } else {
+      copy<T>(p, s);
     }
-
-    // Larger batch members run the tiled driver with a right-sized tile
-    // grid: the large-matrix default (nb = 64) would pad the columns up to
-    // the next tile multiple and bulge-chase a wider band than needed.
-    // Per-problem graphs run serially on the batch worker (nthreads = 1).
-    GesvdOptions go;
-    go.nb = std::min(opts.svd_nb, nw);
-    go.ge2bnd.ib = std::min(8, go.nb);
-
-    // R-first pre-reduction for tall problems (the paper's R-bidiag
-    // ordering): Chan's preQR collapses mw x nw to nw x nw before the
-    // bidiagonalization pipeline, whose guard then scans R.
-    if (mw > 2 * nw) {
-      if (!wide) copy<T>(p, s);
-      w = chan_preqr<T>(s, ar.tfac, ar.rbuf);
-    }
-
-    res.values[i] = gesvd_values<T>(w, go, nullptr, &res.infos[i]);
+    guard.scale(s);
+    Bd2valInfo bi;
+    res.values[i] = guard.finish(
+        chan_stage_values<T>(s, ar.tfac, ar.rbuf, {}, {}, &bi), bi,
+        &res.infos[i]);
     res.reports[i].status = res.infos[i].status;
   });
   return res;

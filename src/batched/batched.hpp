@@ -5,14 +5,15 @@
 // This is the "millions of users" workload shape from ROADMAP.md (cf. the
 // GMLS/compadre exemplar batching thousands of small QR solves over a team
 // pool): the per-problem kernels are the existing recursive panel
-// factorization (lac/qr_rec), the Chan staging for small SVDs (preQR
-// through the recursive panel, one-stage GEBRD, BD2VAL; baseline/chan),
-// and the tiled gesvd_values driver for larger batch members. The batch layer
-// amortizes what a one-at-a-time loop pays per problem — workspace
-// allocation (one arena per worker, sized once for the batch's max
-// extents), right-sizing (a small problem skips the tile pipeline's
-// padding and task setup entirely), and scheduler dispatch (one TaskGraph
-// run per batch, problems chunked across the Scheduler's workers).
+// factorization (lac/qr_rec) and, for every SVD member whatever its size,
+// the Chan staging (preQR through the recursive panel, one-stage GEBRD,
+// BD2VAL; baseline/chan). A member runs on one worker, where the tiled
+// two-stage pipeline has no parallelism to expose and measured slower at
+// every size (docs/PERF.md). The batch layer amortizes what a
+// one-at-a-time loop pays per problem — workspace allocation (one arena
+// per worker, sized once for the batch's max extents) and scheduler
+// dispatch (one TaskGraph run per batch, problems grouped into tasks
+// across the Scheduler's workers).
 //
 // Fault contract (docs/ROBUSTNESS.md): failures are isolated per problem.
 // A NaN input, a rank-deficient system, or an invalid view in problem i
@@ -37,17 +38,10 @@ namespace tbsvd::batched {
 
 struct BatchOptions {
   int nthreads = 1;  ///< Scheduler workers serving the batch (>= 1)
-  /// Problems per task; 0 picks a granularity that gives every worker
-  /// several chunks to steal while keeping dispatch overhead amortized.
-  int chunk = 0;
-  /// SVD tile-size cap: each problem runs at nb = min(svd_nb, its minor
-  /// extent), keeping the band narrow in the small-tile regime instead of
-  /// padding up to the large-matrix default.
+  /// Ignored: every SVD member runs untiled. Kept only because the frozen
+  /// benchmark suite (bench/suite) prints BatchOptions{}.svd_nb in its
+  /// config line; it goes with the next change to the benchmark.
   int svd_nb = 16;
-  /// Minor-extent cutoff below which a batch member takes the direct
-  /// (preQR + GEBRD + BD2VAL) SVD path instead of the tiled pipeline.
-  /// 0 = the built-in 48; > 0 is an explicit override.
-  int direct_max_cols = 0;
 };
 
 /// Typed per-problem outcome. ok() mirrors SvdInfo::ok(): a Degraded solve
@@ -95,9 +89,11 @@ struct SvdBatchResult {
   }
 };
 
-/// Singular values of each problem (any shapes, mixed shapes allowed; wide
-/// problems are transposed into the worker arena, tall ones pre-reduced
-/// R-first through the recursive QR panel). Inputs are not modified.
+/// Singular values of each problem (any shapes, mixed shapes allowed).
+/// Each member is copied into the worker arena (wide problems transposed)
+/// and solved there by chan_stage_values, so its spectrum is bitwise that
+/// of chan_singular_values on the member (or its transpose). Inputs are
+/// not modified.
 template <class T>
 SvdBatchResult svd(const std::vector<ConstMatrixViewT<T>>& problems,
                    const BatchOptions& opts = {});

@@ -60,7 +60,6 @@ std::vector<double> gesvd_values(ConstMatrixViewT<T> A,
     timings->ge2bnd_seconds = t1;
     timings->bnd2bd_seconds = t2 - t1;
     timings->bd2val_seconds = t3 - t2;
-    timings->ge2bnd_tasks = r.ntasks;
   }
   // Padding contributed exactly (padded_n - n) zero singular values at the
   // tail of the sorted spectrum; keep the leading n.

@@ -36,7 +36,6 @@ struct GesvdTimings {
   double ge2bnd_seconds = 0.0;
   double bnd2bd_seconds = 0.0;
   double bd2val_seconds = 0.0;
-  std::size_t ge2bnd_tasks = 0;
   [[nodiscard]] double total() const noexcept {
     return ge2bnd_seconds + bnd2bd_seconds + bd2val_seconds;
   }

@@ -12,14 +12,20 @@ namespace tbsvd {
 template <class T>
 std::vector<double> jacobi_singular_values(ConstMatrixViewT<T> A,
                                            int max_sweeps) {
-  // Work on a double copy W with rows >= cols (float entries embed exactly).
+  // Work on a double copy W with rows >= cols (float entries embed
+  // exactly), scaled exactly by a power of two so its largest entry lies in
+  // [1, 2): the squared column norms below then neither overflow nor
+  // underflow at any input scale, and the singular values are unscaled
+  // exactly on exit.
+  const double amax = norm_max<T>(A);
+  const int e = (amax > 0.0 && std::isfinite(amax)) ? std::ilogb(amax) : 0;
   const bool flip = A.m < A.n;
   const int m = flip ? A.n : A.m;
   const int n = flip ? A.m : A.n;
   Matrix W(m, n);
   for (int j = 0; j < A.n; ++j) {
     for (int i = 0; i < A.m; ++i) {
-      const double v = static_cast<double>(A(i, j));
+      const double v = std::ldexp(static_cast<double>(A(i, j)), -e);
       if (flip) {
         W.view()(j, i) = v;
       } else {
@@ -40,7 +46,9 @@ std::vector<double> jacobi_singular_values(ConstMatrixViewT<T> A,
         const double app = dot(m, cp, 1, cp, 1);
         const double aqq = dot(m, cq, 1, cq, 1);
         const double apq = dot(m, cp, 1, cq, 1);
-        if (std::fabs(apq) <= tol * std::sqrt(app * aqq)) continue;
+        // sqrt(app) * sqrt(aqq), not sqrt(app * aqq): the product of two
+        // squared norms of graded columns can still underflow.
+        if (std::fabs(apq) <= tol * std::sqrt(app) * std::sqrt(aqq)) continue;
         converged = false;
         // Jacobi rotation diagonalizing [[app, apq], [apq, aqq]].
         const double zeta = (aqq - app) / (2.0 * apq);
@@ -58,7 +66,9 @@ std::vector<double> jacobi_singular_values(ConstMatrixViewT<T> A,
   }
 
   std::vector<double> sv(n);
-  for (int j = 0; j < n; ++j) sv[j] = nrm2(m, W.view().col(j), 1);
+  for (int j = 0; j < n; ++j) {
+    sv[j] = std::ldexp(nrm2(m, W.view().col(j), 1), e);
+  }
   std::sort(sv.begin(), sv.end(), std::greater<>());
   return sv;
 }

@@ -8,8 +8,10 @@
 #include <cmath>
 #include <vector>
 
+#include "baseline/chan.hpp"
 #include "batched/batched.hpp"
 #include "common/fault.hpp"
+#include "lac/blas.hpp"
 #include "lac/jacobi_svd.hpp"
 #include "lac/qr_rec.hpp"
 #include "test_harness.hpp"
@@ -17,20 +19,31 @@
 namespace tbsvd {
 namespace {
 
-// Mixed small shapes: square, tall (R-first trigger at m > 2n), wide
-// (transposed staging), degenerate edges.
-const std::vector<std::pair<int, int>>& shapes() {
-  static const std::vector<std::pair<int, int>> s = {
+using Shapes = std::vector<std::pair<int, int>>;
+
+// Mixed small shapes: square, tall (preQR at 5m >= 6n), wide (transposed
+// staging), degenerate edges.
+const Shapes& shapes() {
+  static const Shapes s = {
       {8, 8}, {16, 12}, {12, 16}, {48, 12}, {5, 37}, {1, 1}, {7, 1}, {1, 6}};
   return s;
 }
 
+// Members with more than 48 columns, up to 96 x 96.
+const Shapes& larger_shapes() {
+  static const Shapes s = {{72, 56}, {160, 56}, {56, 72}, {96, 96}};
+  return s;
+}
+
 template <class T>
-std::vector<MatrixT<T>> make_problems(std::uint64_t seed0) {
+std::vector<MatrixT<T>> make_problems(std::uint64_t seed0,
+                                      const Shapes& extra = {}) {
   std::vector<MatrixT<T>> mats;
   std::uint64_t seed = seed0;
-  for (const auto& [m, n] : shapes()) {
-    mats.push_back(test::random_matrix<T>(m, n, seed++));
+  for (const Shapes* list : {&shapes(), &extra}) {
+    for (const auto& [m, n] : *list) {
+      mats.push_back(test::random_matrix<T>(m, n, seed++));
+    }
   }
   return mats;
 }
@@ -78,7 +91,7 @@ TYPED_TEST(BatchedT, QrMatchesDirectRecursivePanel) {
 
 TYPED_TEST(BatchedT, SvdMatchesJacobiOracle) {
   using T = TypeParam;
-  const auto mats = make_problems<T>(200);
+  const auto mats = make_problems<T>(200, larger_shapes());
   std::vector<ConstMatrixViewT<T>> views;
   for (const auto& a : mats) views.push_back(a.cview());
   batched::BatchOptions opts;
@@ -100,13 +113,13 @@ TYPED_TEST(BatchedT, SvdMatchesJacobiOracle) {
 
 TYPED_TEST(BatchedT, SvdDeterministicAcrossThreadCounts) {
   using T = TypeParam;
-  const auto mats = make_problems<T>(300);
+  const auto mats = make_problems<T>(300, {{80, 64}});
   std::vector<ConstMatrixViewT<T>> views;
   for (const auto& a : mats) views.push_back(a.cview());
+  // Nine problems on four workers: one problem per task, interleaved.
   batched::BatchOptions o1, o4;
   o1.nthreads = 1;
   o4.nthreads = 4;
-  o4.chunk = 1;  // maximal interleaving across workers
   const auto r1 = batched::svd<T>(views, o1);
   const auto r4 = batched::svd<T>(views, o4);
   ASSERT_EQ(r1.values.size(), r4.values.size());
@@ -115,6 +128,29 @@ TYPED_TEST(BatchedT, SvdDeterministicAcrossThreadCounts) {
     for (std::size_t k = 0; k < r1.values[i].size(); ++k) {
       EXPECT_EQ(r1.values[i][k], r4.values[i][k]) << i << "," << k;
     }
+  }
+}
+
+TYPED_TEST(BatchedT, SvdMembersMatchChanStagingBitwise) {
+  // Every member, whatever its size, is the Chan staging on an arena copy:
+  // bitwise chan_singular_values on the member, or on its transpose when
+  // wide.
+  using T = TypeParam;
+  const auto mats = make_problems<T>(350, larger_shapes());
+  std::vector<ConstMatrixViewT<T>> views;
+  for (const auto& a : mats) views.push_back(a.cview());
+  batched::BatchOptions opts;
+  opts.nthreads = 2;
+  const batched::SvdBatchResult res = batched::svd<T>(views, opts);
+  ASSERT_TRUE(res.all_ok());
+  for (std::size_t i = 0; i < mats.size(); ++i) {
+    SCOPED_TRACE(i);
+    const MatrixT<T>& a = mats[i];
+    MatrixT<T> at(a.cols(), a.rows());
+    if (a.rows() < a.cols()) transpose<T>(a.cview(), at.view());
+    const auto ref = chan_singular_values<T>(
+        a.rows() < a.cols() ? at.cview() : a.cview());
+    EXPECT_EQ(res.values[i], ref);
   }
 }
 
@@ -276,25 +312,6 @@ TEST(BatchedFault, SchedulerInfrastructureFailureStaysTyped) {
   batched::BatchOptions opts;
   opts.nthreads = 2;
   EXPECT_THROW(batched::svd<double>(views, opts), internal_error);
-}
-
-TEST(Batched, ExplicitDirectCutoffIsHonored) {
-  // direct_max_cols = 64 sends a 56-column problem, tiled under the
-  // built-in 48, down the direct path: same spectrum, different rounding.
-  const Matrix A = test::random_matrix(72, 56, 21);
-  const auto ref = gesvd_values(A.cview(), GesvdOptions{});
-  const std::vector<ConstMatrixView> probs = {A.cview()};
-  batched::BatchOptions direct;
-  direct.direct_max_cols = 64;
-  const batched::SvdBatchResult res = batched::svd<double>(probs, direct);
-  const batched::SvdBatchResult tiled = batched::svd<double>(probs);
-  ASSERT_TRUE(res.all_ok());
-  ASSERT_TRUE(tiled.all_ok());
-  ASSERT_EQ(res.values[0].size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(res.values[0][i], ref[i], 1e-8 * (1.0 + ref[0]));
-  }
-  EXPECT_NE(res.values[0], tiled.values[0]);
 }
 
 TEST(Batched, BatchLevelMisuseThrows) {

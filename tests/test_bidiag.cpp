@@ -229,12 +229,13 @@ TEST(Gesvd, EndToEndPipelineRecoversPrescribedValues) {
   opts.ge2bnd.ib = 4;
   opts.ge2bnd.nthreads = 2;
   GesvdTimings timings;
-  const auto got = gesvd_values(A.cview(), opts, &timings);
+  SvdInfo info;
+  const auto got = gesvd_values(A.cview(), opts, &timings, &info);
   ASSERT_EQ(got.size(), sv.size());
   for (std::size_t i = 0; i < sv.size(); ++i) {
     EXPECT_NEAR(got[i], sv[i], 1e-11) << "sv " << i;
   }
-  EXPECT_GT(timings.ge2bnd_tasks, 0u);
+  EXPECT_GT(info.ge2bnd_tasks, 0u);
   EXPECT_GE(timings.total(), 0.0);
 }
 
@@ -278,18 +279,19 @@ TEST(Gesvd, ZeroSentinelsResolveToBuiltInTileSizes) {
   GesvdOptions builtin;
   builtin.nb = 64;
   builtin.ge2bnd.ib = 32;
-  GesvdTimings t_default, t_builtin, t_small;
-  const auto sv_default = gesvd_values(A.cview(), GesvdOptions{}, &t_default);
-  const auto sv_builtin = gesvd_values(A.cview(), builtin, &t_builtin);
+  SvdInfo i_default, i_builtin, i_small;
+  const auto sv_default =
+      gesvd_values(A.cview(), GesvdOptions{}, nullptr, &i_default);
+  const auto sv_builtin = gesvd_values(A.cview(), builtin, nullptr, &i_builtin);
   ASSERT_EQ(sv_default.size(), sv_builtin.size());
   for (std::size_t i = 0; i < sv_default.size(); ++i) {
     EXPECT_EQ(sv_default[i], sv_builtin[i]) << "sv " << i;
   }
-  EXPECT_EQ(t_default.ge2bnd_tasks, t_builtin.ge2bnd_tasks);
+  EXPECT_EQ(i_default.ge2bnd_tasks, i_builtin.ge2bnd_tasks);
   GesvdOptions small;
   small.nb = 32;
-  (void)gesvd_values(A.cview(), small, &t_small);
-  EXPECT_GT(t_small.ge2bnd_tasks, t_default.ge2bnd_tasks);
+  (void)gesvd_values(A.cview(), small, nullptr, &i_small);
+  EXPECT_GT(i_small.ge2bnd_tasks, i_default.ge2bnd_tasks);
 }
 
 TEST(AlgGen, OpCountsMatchClosedForms) {

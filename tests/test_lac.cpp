@@ -423,5 +423,23 @@ TEST(JacobiSvd, OrthogonalInvariance) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(sv0[i], sv1[i], 1e-11);
 }
 
+TEST(JacobiSvd, ScaleEquivariantAtExtremeNorms) {
+  // The oracle on s * A is s times the oracle on A, also where squared
+  // column norms, or their products, leave the double range.
+  const Matrix A = random_matrix(40, 12, 93);
+  const auto sv = jacobi_singular_values(A.cview());
+  for (const double s : {1e100, 1e-100, 1e140, 1e-140, 1e300, 1e-300}) {
+    SCOPED_TRACE(s);
+    Matrix B(40, 12);
+    for (int j = 0; j < 12; ++j)
+      for (int i = 0; i < 40; ++i) B(i, j) = s * A(i, j);
+    const auto svs = jacobi_singular_values(B.cview());
+    ASSERT_EQ(svs.size(), sv.size());
+    for (std::size_t i = 0; i < sv.size(); ++i) {
+      EXPECT_NEAR(svs[i] / s, sv[i], 1e-12 * sv[0]) << "sv " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tbsvd

@@ -127,21 +127,18 @@ TEST_P(ExtremeNormP, ScaledSolveMatchesUnscaledReference) {
 
 TEST_P(ExtremeNormP, BatchedMembersScaleToo) {
   const double c = GetParam();
-  // One member per batched::svd path: 64 x 48 goes direct (n <= 48), and
-  // 160 x 56 runs the tiled pipeline after the R-first preQR (m > 2n).
+  // Two members, each factored by the preQR first (5m >= 6n).
   std::vector<Matrix> mats = {test::random_matrix(64, 48, 2027),
                               test::random_matrix(160, 56, 2028)};
-  batched::BatchOptions opts;
-  opts.direct_max_cols = 48;
   std::vector<ConstMatrixView> views;
   for (const Matrix& a : mats) views.push_back(a.cview());
-  const batched::SvdBatchResult ref = batched::svd<double>(views, opts);
+  const batched::SvdBatchResult ref = batched::svd<double>(views);
 
   for (Matrix& a : mats) {
     for (int j = 0; j < a.cols(); ++j)
       for (int i = 0; i < a.rows(); ++i) a(i, j) *= c;
   }
-  const batched::SvdBatchResult res = batched::svd<double>(views, opts);
+  const batched::SvdBatchResult res = batched::svd<double>(views);
   ASSERT_TRUE(ref.all_ok());
   ASSERT_TRUE(res.all_ok());
   for (std::size_t p = 0; p < mats.size(); ++p) {
