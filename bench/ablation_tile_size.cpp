@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
     GesvdOptions o;
     o.nb = c.nb;
     o.ge2bnd.ib = c.ib;
-    o.ge2bnd.qr_tree = o.ge2bnd.lq_tree = TreeKind::Auto;
     o.ge2bnd.nthreads = hw;
     GesvdTimings t;
     auto sv = gesvd_values(A.cview(), o, &t);

@@ -26,6 +26,12 @@ namespace {
 using bench::DType;
 using bench::Record;
 
+// What the serial loop's GesvdOptions{} runs: the 0 sentinels resolve to
+// the built-in tile size 64 and inner blocking 32 (test_bidiag's
+// ZeroSentinelsResolveToBuiltInTileSizes pins both), on the default Auto
+// tree.
+constexpr int kSerialNb = 64, kSerialIb = 32;
+
 // One "small problem" of the serving workload: tall 32x16 (sub-tile-sized
 // in the paper's regime — far below the crossover where the large-matrix
 // default nb = 64 stops being pure padding overhead).
@@ -69,8 +75,8 @@ void run_svd_series(bool smoke, std::vector<Record>& recs) {
     views.reserve(mats.size());
     for (const auto& a : mats) views.push_back(a.cview());
 
-    // Serial baseline: one default-options driver call per problem, the
-    // one-at-a-time loop the batch API replaces.
+    // Serial baseline: one default-options driver call per problem (Auto
+    // tree, nb 64, ib 32), the one-at-a-time loop the batch API replaces.
     const double t_serial = bench::time_best(reps, [&] {
       for (const auto& v : views) {
         const auto sv = gesvd_values<T>(v, GesvdOptions{});
@@ -80,8 +86,8 @@ void run_svd_series(bool smoke, std::vector<Record>& recs) {
     {
       Record r;
       r.name = "batched_svd_serial" + suffix;
-      r.nb = GesvdOptions{}.nb;
-      r.ib = GesvdOptions{}.ge2bnd.ib;
+      r.nb = kSerialNb;
+      r.ib = kSerialIb;
       r.m = m;
       r.n = n;
       r.seconds = t_serial;
@@ -91,7 +97,7 @@ void run_svd_series(bool smoke, std::vector<Record>& recs) {
       r.problems_per_sec = batch / t_serial;
       recs.push_back(r);
     }
-    std::printf("%14d%14s%14.4f%14.1f%14s\n", batch, "serial loop", t_serial,
+    std::printf("%14d%14s%14.4f%14.1f%14s\n", batch, "serial (Auto)", t_serial,
                 batch / t_serial, "1.00x");
 
     for (const int nt : threads) {

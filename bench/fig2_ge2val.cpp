@@ -62,19 +62,25 @@ MatrixT<T> input_matrix(int m, int n) {
   return A;
 }
 
-GesvdOptions tiled_opts(int nthreads, TreeKind tree, BidiagAlg alg) {
+// The tbsvd series run the driver's default tree and algorithm (Auto,
+// Auto); plasma* overrides them with FlatTS on BIDIAG.
+GesvdOptions tiled_opts(int nthreads) {
   GesvdOptions o;
   o.nb = g_nb;
   o.ge2bnd.ib = g_ib;
-  o.ge2bnd.qr_tree = o.ge2bnd.lq_tree = tree;
-  o.ge2bnd.alg = alg;
   o.ge2bnd.nthreads = nthreads;
   return o;
 }
 
-double run_tbsvd(int m, int n, int nthreads, TreeKind tree, BidiagAlg alg,
+GesvdOptions plasma_opts(int nthreads) {
+  GesvdOptions o = tiled_opts(nthreads);
+  o.ge2bnd.qr_tree = o.ge2bnd.lq_tree = TreeKind::FlatTS;
+  o.ge2bnd.alg = BidiagAlg::Bidiag;
+  return o;
+}
+
+double run_tbsvd(int m, int n, const GesvdOptions& o,
                  const std::string& series) {
-  const GesvdOptions o = tiled_opts(nthreads, tree, alg);
   if (g_dtype == DType::F32) {
     MatrixT<float> A = input_matrix<float>(m, n);
     WallTimer w;
@@ -155,10 +161,8 @@ int main(int argc, char** argv) {
   for (int n : sizes) {
     std::printf(
         "%14d%14.2f%14.2f%14.2f%14.2f%14.2f\n", n,
-        run_tbsvd(n, n, hw, TreeKind::Auto, BidiagAlg::Bidiag,
-                  "fig2d_tbsvd" + dsuf),
-        run_tbsvd(n, n, hw, TreeKind::FlatTS, BidiagAlg::Bidiag,
-                  "fig2d_plasma" + dsuf),
+        run_tbsvd(n, n, tiled_opts(hw), "fig2d_tbsvd" + dsuf),
+        run_tbsvd(n, n, plasma_opts(hw), "fig2d_plasma" + dsuf),
         run_gebrd(n, n, 32, hw, "fig2d_mkl" + dsuf),
         run_gebrd(n, n, 48, 1, "fig2d_scalapack" + dsuf),
         run_chan(n, n, 1, "fig2d_elemental" + dsuf));
@@ -177,10 +181,8 @@ int main(int argc, char** argv) {
     for (int m : ms) {
       std::printf(
           "%14d%14.2f%14.2f%14.2f%14.2f%14.2f\n", m,
-          run_tbsvd(m, nfix, hw, TreeKind::Auto, BidiagAlg::Auto,
-                    "fig2ef_tbsvd" + dsuf),
-          run_tbsvd(m, nfix, hw, TreeKind::FlatTS, BidiagAlg::Bidiag,
-                    "fig2ef_plasma" + dsuf),
+          run_tbsvd(m, nfix, tiled_opts(hw), "fig2ef_tbsvd" + dsuf),
+          run_tbsvd(m, nfix, plasma_opts(hw), "fig2ef_plasma" + dsuf),
           run_gebrd(m, nfix, 32, hw, "fig2ef_mkl" + dsuf),
           run_gebrd(m, nfix, 48, 1, "fig2ef_scalapack" + dsuf),
           run_chan(m, nfix, 1, "fig2ef_elemental" + dsuf));

@@ -25,13 +25,11 @@ int main(int argc, char** argv) {
   std::printf("A is %d x %d with prescribed cond(A) = %.1e\n", m, n,
               gen.cond);
 
-  // 2. Singular values via the tiled pipeline (Auto reduction tree,
-  //    automatic BIDIAG / R-BIDIAG selection, all cores).
+  // 2. Singular values via the tiled pipeline. The defaults are the
+  //    paper's Auto reduction tree and automatic BIDIAG / R-BIDIAG
+  //    selection; only the thread count is set (all cores).
   GesvdOptions opts;
   opts.nb = 64;
-  opts.ge2bnd.qr_tree = TreeKind::Auto;
-  opts.ge2bnd.lq_tree = TreeKind::Auto;
-  opts.ge2bnd.alg = BidiagAlg::Auto;
   // hardware_concurrency() may report 0; the option contract is >= 1.
   opts.ge2bnd.nthreads = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));

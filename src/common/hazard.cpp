@@ -1,5 +1,6 @@
 #include "common/hazard.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -11,14 +12,30 @@
 
 namespace tbsvd {
 
+// Branch-free so the compiler vectorizes it: each of L lanes (one 64-byte
+// line of T) keeps a running max of |x| and a running sum of x - x, which
+// stays 0 while the lane has seen only finite values and turns NaN at the
+// first NaN or Inf. NaN fails the max's compare, so amax is the largest
+// non-NaN magnitude (Inf included), exactly as a scalar compare loop.
 template <class T>
 ExtremeScan scan_extremes(const T* x, std::size_t n) noexcept {
+  constexpr std::size_t L = 64 / sizeof(T);
+  T amax[L] = {};
+  T nonfinite[L] = {};
+  auto step = [&](std::size_t lane, T v) {
+    const T a = std::fabs(v);
+    amax[lane] = a > amax[lane] ? a : amax[lane];
+    nonfinite[lane] += v - v;
+  };
+  const std::size_t body = n - n % L;
+  for (std::size_t i = 0; i < body; i += L) {
+    for (std::size_t l = 0; l < L; ++l) step(l, x[i + l]);
+  }
+  for (std::size_t i = body; i < n; ++i) step(i - body, x[i]);
   ExtremeScan s;
-  for (std::size_t i = 0; i < n; ++i) {
-    const T v = x[i];
-    if (!std::isfinite(v)) s.finite = false;
-    const double a = std::fabs(static_cast<double>(v));
-    if (a > s.amax) s.amax = a;  // NaN fails the compare, amax stays finite
+  for (std::size_t l = 0; l < L; ++l) {
+    s.finite = s.finite && nonfinite[l] == T(0);
+    s.amax = std::max(s.amax, static_cast<double>(amax[l]));
   }
   return s;
 }

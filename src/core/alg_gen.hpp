@@ -12,6 +12,13 @@
 // order is correct, and the superscalar runtime extracts all parallelism.
 // They carry no scheduling priorities: the executor ranks the task graph
 // it builds from the stream (upward ranks, runtime/task_graph.hpp).
+//
+// AlgConfig keeps Greedy as its default because it describes the paper's
+// model (critical paths, simulated schedules), where Greedy has the
+// shortest Table-I critical path. The drivers (ge2bnd, tsqr) default to
+// the Auto tree with ncores = kAutoTargetWorkers instead: measured, one
+// TSQRT per tile beats Greedy's GEQRT + TTQRT pair, and Auto ran faster
+// than Greedy at every P = 1..4 on the fig2 shapes (docs/PERF.md).
 #pragma once
 
 #include <vector>
@@ -26,7 +33,8 @@ namespace tbsvd {
 struct AlgConfig {
   TreeKind qr_tree = TreeKind::Greedy;
   TreeKind lq_tree = TreeKind::Greedy;
-  /// Consumed by the Auto tree: target parallelism = gamma * ncores.
+  /// Consumed by the Auto tree: target parallelism = gamma * ncores. The
+  /// drivers set kAutoTargetWorkers here, never their thread count.
   int ncores = 1;
   double gamma = 2.0;
   /// Optional 2D block-cyclic distribution: when set, panels use the

@@ -180,7 +180,7 @@ ExecResult ge2bnd(TileMatrixT<T>& A, const Ge2bndOptions& opt) {
   AlgConfig cfg;
   cfg.qr_tree = opt.qr_tree;
   cfg.lq_tree = opt.lq_tree;
-  cfg.ncores = opt.nthreads;
+  cfg.ncores = kAutoTargetWorkers;  // tree from the grid, not nthreads
   cfg.gamma = opt.gamma;
 
   const bool use_r = (opt.alg == BidiagAlg::RBidiag) ||

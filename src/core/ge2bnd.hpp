@@ -53,10 +53,16 @@ ExecResult execute_tile_ops(TileMatrixT<T>& A, const std::vector<TileOp>& ops,
 
 enum class BidiagAlg { Bidiag, RBidiag, Auto };
 
+/// Defaults are the paper's Auto tree and Auto algorithm. The Auto tree's
+/// domains are sized from the tile grid and kAutoTargetWorkers
+/// (trees/tree.hpp), not from nthreads, so the reduced band is bitwise
+/// the same for every thread count. Recorded at P = 1..4 on the fig2
+/// shapes (docs/PERF.md), Auto beat Greedy at every point by 11-46%.
 struct Ge2bndOptions {
-  TreeKind qr_tree = TreeKind::Greedy;
-  TreeKind lq_tree = TreeKind::Greedy;
-  BidiagAlg alg = BidiagAlg::Bidiag;
+  TreeKind qr_tree = TreeKind::Auto;
+  TreeKind lq_tree = TreeKind::Auto;
+  /// Auto = R-BIDIAG when prefer_rbidiag(p, q) (core/alg_gen.hpp).
+  BidiagAlg alg = BidiagAlg::Auto;
   /// Inner blocking; 0 = the built-in 32.
   int ib = 0;
   int nthreads = 1;

@@ -4,6 +4,13 @@
 // double}; singular values are always returned in double (float results
 // embed exactly), while every pipeline stage runs in T arithmetic.
 //
+// Default options (GesvdOptions{}) run nb = 64, ib = 32, the paper's Auto
+// tree and the Auto algorithm (R-BIDIAG when prefer_rbidiag says so). The
+// Auto tree is sized from the tile grid, not the thread count, so the
+// spectrum is bitwise the same for every ge2bnd.nthreads. In the recorded
+// P = 1..4 sweep on the fig2 shapes (docs/PERF.md), Auto ran 11-46%
+// faster than Greedy at every point.
+//
 // Hazard contract (docs/ROBUSTNESS.md), run through the SafeScaling guard
 // (common/hazard.hpp): the input is scanned once up front — NaN/Inf
 // throws numerical_hazard_error; a max-norm outside the per-precision safe

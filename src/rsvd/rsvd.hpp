@@ -1,7 +1,8 @@
 // Randomized truncated SVD (Halko–Martinsson–Tropp randomized range
 // finder) on the tile stack: Gaussian sketch of k + oversample columns
 // (src/common/rng, deterministic from the seed), TSQR orthonormalization
-// (tsqr.hpp — the Greedy reduction tree on the work-stealing executor),
+// (tsqr.hpp — the grid-sized Auto reduction tree on the work-stealing
+// executor),
 // optional power iterations with TSQR re-orthonormalization after every
 // product, then a small SVD of the projected matrix through the shared
 // Chan staging, preQR + GEBRD + BD2VAL (baseline/chan.hpp).
@@ -54,7 +55,7 @@ struct GesvdTruncatedOptions {
   int power_iters = 1;
   /// Sketch seed; runs are deterministic given (seed, shape, options).
   std::uint64_t seed = 0x5EEDBA5EDULL;
-  TreeKind tree = TreeKind::Greedy;  ///< TSQR reduction tree
+  TreeKind tree = TreeKind::Auto;  ///< TSQR reduction tree (tsqr.hpp)
   int nb = 0;        ///< TSQR tile size (0 = tsqr.hpp's sketch-width rule)
   int ib = 0;        ///< inner blocking (0 = the built-in 32)
   int nthreads = 1;  ///< executor workers (>= 1)

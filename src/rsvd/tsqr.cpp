@@ -125,7 +125,7 @@ TsqrFactorsT<T> tsqr(ConstMatrixViewT<T> A, const TsqrOptions& opts) {
 
   AlgConfig cfg;
   cfg.qr_tree = opts.tree;
-  cfg.ncores = opts.nthreads;
+  cfg.ncores = kAutoTargetWorkers;  // tree from the grid, not nthreads
   cfg.gamma = opts.gamma;
   f.ops = build_hqr_ops(p, q, cfg);
   f.t = TFactorsT<T>(p, q, f.ib, nb);

@@ -1,8 +1,10 @@
 // Tall-skinny QR (TSQR) driver: factors a dense m x n matrix (m >= n)
 // through the tiled QR machinery — TS/TT recursive panel kernels under a
-// configurable reduction tree (Greedy binomial by default, the
-// communication-optimal shape of Demmel et al.'s TSQR; FlatTS/FlatTT/Auto
-// as in the paper's Section III) — executed on the work-stealing Scheduler
+// configurable reduction tree (the paper's Auto tree by default: FlatTS
+// domains glued by a binomial TT tree, sized from the tile grid and
+// kAutoTargetWorkers so the factors do not depend on nthreads; Greedy is
+// the all-binomial shape of Demmel et al.'s TSQR; FlatTS/FlatTT as in the
+// paper's Section III) — executed on the work-stealing Scheduler
 // through execute_tile_ops, so ready tasks run critical-path first (upward
 // ranks of the task graph) exactly as in the GE2BND pipeline.
 //
@@ -42,7 +44,10 @@ namespace tbsvd {
 
 struct TsqrOptions {
   /// Reduction tree combining the per-panel tile rows (paper Section III).
-  TreeKind tree = TreeKind::Greedy;
+  /// On an 8192x72 sketch at 4 threads Auto took 13% less time than
+  /// Greedy (a whole 8192x512, k = 64 gesvd_truncated 7% less; medians
+  /// of 21 interleaved runs).
+  TreeKind tree = TreeKind::Auto;
   /// Tile size; an explicit value wins. 0 splits the n panel columns into
   /// q = max(1, round(n / 64)) tile columns (64 is the built-in tile
   /// width) and takes nb = max(16, n / q rounded up to a multiple of 8).

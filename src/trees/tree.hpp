@@ -12,7 +12,16 @@
 //   Greedy  — prep all; binomial TT tree (min #rounds = ceil(log2 u)).
 //   Auto    — FlatTS domains of size `a` whose heads are combined by a
 //             binomial TT tree; `a` adapts to expose >= gamma * ncores
-//             parallel tasks (Section V).
+//             parallel tasks (Section V). The drivers (ge2bnd, tsqr) size
+//             it from the tile grid and kAutoTargetWorkers, never from
+//             their thread count, so their results are bitwise the same
+//             for every nthreads.
+//
+// Auto is the drivers' default tree. In the recorded sweep
+// (bench/ablation_auto_gamma, docs/PERF.md) it beat Greedy at every
+// P = 1..4 on the fig2 shapes, by 11-46% in gesvd_values wall time: one
+// TSQRT per tile is cheaper than Greedy's GEQRT + TTQRT pair, although
+// Greedy has the shorter Table-I critical path.
 #pragma once
 
 #include <vector>
@@ -43,6 +52,15 @@ struct StepPlan {
   std::vector<int> prep;    ///< tiles to triangularize (GEQRT) first
   std::vector<Elim> elims;  ///< eliminations, in a dependency-valid order
 };
+
+/// Parallelism target (workers) the drivers size the Auto tree for,
+/// whatever their nthreads: the tree, and so the result, depends only on
+/// the tile grid. In the recorded sweep (P = 1..4, five fig2 shapes)
+/// target 2 ran a median 2.5% ahead of 4, inside run-to-run noise and
+/// never more than 9%, and 8 fell up to 29% behind. 4 is kept because it
+/// is also the P whose op stream bench/suite simulates for cp.efficiency,
+/// so the simulated and the executed DAG stay the same.
+inline constexpr int kAutoTargetWorkers = 4;
 
 /// Parameters consumed by the Auto tree.
 struct AutoConfig {

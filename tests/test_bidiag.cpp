@@ -273,12 +273,18 @@ TEST(Gesvd, RbidiagAndBidiagAgree) {
 }
 
 TEST(Gesvd, ZeroSentinelsResolveToBuiltInTileSizes) {
-  // GesvdOptions{} (nb = 0, ib = 0) is bitwise the explicit nb = 64,
-  // ib = 32 solve; an explicit nb wins over the default.
+  // GesvdOptions{} (nb = 0, ib = 0, Auto tree, Auto algorithm) is bitwise
+  // the explicit nb = 64, ib = 32, Auto/Auto solve; an explicit nb wins
+  // over the default.
+  EXPECT_EQ(GesvdOptions{}.ge2bnd.qr_tree, TreeKind::Auto);
+  EXPECT_EQ(GesvdOptions{}.ge2bnd.lq_tree, TreeKind::Auto);
+  EXPECT_EQ(GesvdOptions{}.ge2bnd.alg, BidiagAlg::Auto);
   const Matrix A = generate_random(96, 80, 11);
   GesvdOptions builtin;
   builtin.nb = 64;
   builtin.ge2bnd.ib = 32;
+  builtin.ge2bnd.qr_tree = builtin.ge2bnd.lq_tree = TreeKind::Auto;
+  builtin.ge2bnd.alg = BidiagAlg::Auto;
   SvdInfo i_default, i_builtin, i_small;
   const auto sv_default =
       gesvd_values(A.cview(), GesvdOptions{}, nullptr, &i_default);
@@ -292,6 +298,38 @@ TEST(Gesvd, ZeroSentinelsResolveToBuiltInTileSizes) {
   small.nb = 32;
   (void)gesvd_values(A.cview(), small, nullptr, &i_small);
   EXPECT_GT(i_small.ge2bnd_tasks, i_default.ge2bnd_tasks);
+}
+
+// The default Auto tree is sized from the tile grid, not from nthreads,
+// so a default-option solve is bitwise the same at 1..4 threads. 2048x128
+// f32 is a 32x2 grid on R-BIDIAG (FlatTS domains of 4 rows against 16 if
+// the tree followed one thread); 384^2 f64 is a 6x6 grid on BIDIAG.
+template <class T>
+void expect_default_solve_thread_invariant(int m, int n, std::uint64_t seed) {
+  SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
+  const Matrix Ad = generate_random(m, n, seed);
+  MatrixT<T> A(m, n);
+  convert_matrix(Ad.cview(), A.view());
+  GesvdOptions opts;
+  SvdInfo serial_info;
+  const auto serial = gesvd_values<T>(A.cview(), opts, nullptr, &serial_info);
+  ASSERT_EQ(serial.size(), static_cast<std::size_t>(n));
+  for (int t = 2; t <= 4; ++t) {
+    opts.ge2bnd.nthreads = t;
+    SvdInfo info;
+    const auto got = gesvd_values<T>(A.cview(), opts, nullptr, &info);
+    EXPECT_EQ(info.ge2bnd_tasks, serial_info.ge2bnd_tasks) << t << " threads";
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], serial[i]) << t << " threads, sv " << i;
+    }
+  }
+}
+
+TEST(Gesvd, DefaultOptionsThreadCountsMatchBitwise) {
+  ASSERT_TRUE(prefer_rbidiag(2048 / 64, 128 / 64));
+  ASSERT_FALSE(prefer_rbidiag(384 / 64, 384 / 64));
+  expect_default_solve_thread_invariant<float>(2048, 128, 61);
+  expect_default_solve_thread_invariant<double>(384, 384, 62);
 }
 
 TEST(AlgGen, OpCountsMatchClosedForms) {

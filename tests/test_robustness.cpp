@@ -48,6 +48,61 @@ TEST(Hazard, ScanExtremesFindsNanInfAndMax) {
   EXPECT_EQ(s.amax, 7.5e4);
 }
 
+// The lane-split scan must match a scalar compare loop exactly: each
+// special value at every position of every length 0..3L, L = one 64-byte
+// line of T, so every lane and every tail length 0..2L sees it.
+template <class T>
+ExtremeScan scalar_scan(const std::vector<T>& x) {
+  ExtremeScan s;
+  for (const T v : x) {
+    if (!std::isfinite(v)) s.finite = false;
+    const double a = std::fabs(static_cast<double>(v));
+    if (a > s.amax) s.amax = a;
+  }
+  return s;
+}
+
+template <class T>
+void expect_scan_matches_scalar() {
+  using lim = std::numeric_limits<T>;
+  constexpr int L = 64 / static_cast<int>(sizeof(T));
+  const T specials[] = {lim::quiet_NaN(), lim::infinity(), -lim::infinity(),
+                        lim::denorm_min(), -lim::min() / T(4), lim::max(),
+                        -lim::max(), T(-0.0)};
+  int mismatches = 0;
+  auto check = [&](const std::vector<T>& x) {
+    const ExtremeScan want = scalar_scan(x);
+    const ExtremeScan got = scan_extremes<T>(x.data(), x.size());
+    if (got.finite != want.finite || got.amax != want.amax) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "length " << x.size() << ": finite " << got.finite
+                      << " amax " << got.amax << ", want " << want.finite
+                      << " " << want.amax;
+      }
+    }
+  };
+  for (int n = 0; n <= 3 * L; ++n) {
+    const MatrixT<T> r = test::random_matrix<T>(n, 1, 900 + n);
+    const std::vector<T> base(r.data(), r.data() + n);
+    check(base);
+    for (int p = 0; p < n; ++p) {
+      for (const T v : specials) {
+        std::vector<T> x = base;
+        x[p] = v;
+        check(x);
+        x[(p + L / 2 + 1) % n] = lim::quiet_NaN();  // NaN beside the special
+        check(x);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Hazard, ScanExtremesMatchesScalarLoopAtEveryLane) {
+  expect_scan_matches_scalar<float>();
+  expect_scan_matches_scalar<double>();
+}
+
 TEST(Hazard, StepwiseScalingHandlesExtremeRatios) {
   // 1e-300 -> safe range: the naive multiplier cto/cfrom would overflow.
   std::vector<double> x = {1e-300, -3e-301, 2e-300};
